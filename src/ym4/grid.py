@@ -46,8 +46,8 @@ class Grid4:
     def __post_init__(self):
         if self.n < 8 or self.n % 2:
             raise GridError("n must be even and >= 8")
-        if self.h <= 0:
-            raise GridError("h must be positive")
+        if not 0.0 < self.h < np.inf:
+            raise GridError(f"h must be finite and positive, got {self.h!r}")
         if self.boundary not in ("periodic", "open"):
             raise GridError(f"unknown boundary mode {self.boundary!r}")
         if self.deriv not in ("stencil4", "spectral"):

@@ -40,8 +40,8 @@ class HeatParams:
     def __post_init__(self):
         if self.integrator not in ("euler", "rk2"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.ds <= 0 or self.s_max <= 0:
-            raise ValueError("ds and s_max must be positive")
+        if not (0.0 < self.ds < np.inf and 0.0 < self.s_max < np.inf):
+            raise ValueError("ds and s_max must be finite and positive")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 

@@ -44,8 +44,8 @@ class WaveParams:
     def __post_init__(self):
         if self.integrator != "leapfrog":
             raise ValueError("only leapfrog stepping is provided")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf):
+            raise ValueError("dt and t_end must be finite and positive")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
 
@@ -141,17 +141,6 @@ def cone_energy(w: WaveState, vertex, gamma: float = 1.0) -> float:
     dens = energy_density(w.curvature())
     mask = g.radius(center=x0) <= r
     return g.integrate(dens * mask)
-
-
-def energy_flux(snapshots: List[WaveState], vertex, t1: float, t2: float) -> float:
-    """Cone-section energy difference E_{S_t2} - E_{S_t1} at gamma = 1."""
-    w1 = _nearest(snapshots, t1)
-    w2 = _nearest(snapshots, t2)
-    return cone_energy(w2, vertex) - cone_energy(w1, vertex)
-
-
-def _nearest(snapshots: List[WaveState], t: float) -> WaveState:
-    return min(snapshots, key=lambda w: abs(w.t - t))
 
 
 # -- gauge transport ---------------------------------------------------------

@@ -264,16 +264,29 @@ def cmd_wave(args) -> int:
         _dump_wave_csv(outdir, err.partial or [])
         print(f"blow-up: {err}", file=sys.stderr)
         return EXIT_BLOWUP
-    _dump_wave_csv(outdir, snapshots)
+    rows = _dump_wave_csv(outdir, snapshots)
     last = snapshots[-1]
     state = np.concatenate([last.a.a, last.adot], axis=0)
     snap.write_snapshot(outdir / "final.ymf", state, grid, spec, snap.KIND_WAVE_STATE, last.t)
+    _write_report(
+        outdir,
+        "report.json",
+        {
+            "t_final": last.t,
+            "steps": int(round(last.t / p.dt)),
+            "energy_initial": rows[0][1],
+            "energy_final": rows[-1][1],
+            "gauss_residual_max": max(row[2] for row in rows),
+        },
+    )
     return EXIT_OK
 
 
-def _dump_wave_csv(outdir: Path, snapshots) -> None:
+def _dump_wave_csv(outdir: Path, snapshots) -> list:
+    """Write wave.csv; returns its (t, energy, gauss_residual) rows."""
     rows = [(w.t, w.energy(), w.gauss_residual) for w in snapshots]
     _write_csv(outdir / "wave.csv", ["t [len]", "energy [1]", "gauss_residual [1/len^3]"], rows)
+    return rows
 
 
 def cmd_caloric(args) -> int:

@@ -19,6 +19,12 @@ def test_grid_validation():
         Grid4(8, 0.5, boundary="open", deriv="spectral")
 
 
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0])
+def test_grid_rejects_non_finite_spacing(h):
+    with pytest.raises(GridError):
+        Grid4(8, h)
+
+
 def test_coordinates_and_extent():
     g = Grid4(8, 0.5)
     assert g.extent == 4.0

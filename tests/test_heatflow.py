@@ -41,6 +41,12 @@ def test_params_validation_and_stability():
     p2.check_stability(0.5)
 
 
+@pytest.mark.parametrize("ds, s_max", [(np.nan, 1.0), (np.inf, 1.0), (0.01, np.nan), (0.01, np.inf)])
+def test_params_reject_non_finite(ds, s_max):
+    with pytest.raises(ValueError, match="finite"):
+        HeatParams(ds=ds, s_max=s_max)
+
+
 def test_abelian_single_mode_decays_at_symbol_rate():
     # divergence-free single mode: the flow reduces to componentwise heat
     # with the exact discrete rate s(kappa)^2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ym4 import algebra, data, morawetz, wave
-from ym4.gaugefield import FieldError, energy_density
+from ym4.gaugefield import FieldError, InitialDataSet, energy_density
 from ym4.grid import Grid4
 from ym4.wave import WaveParams, WaveState
 
@@ -124,3 +124,110 @@ def test_morawetz_identity_residual_small_on_wave_solution():
     )
     assert rep.interior_dissipation_accum >= 0.0
     assert rep.identity_residual <= 0.1
+
+
+# -- the gathered identity assembly ------------------------------------------
+
+VERTEX = (-0.75, 0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def bpst_run():
+    """Three snapshots of an open-boundary BPST run at n = 16.
+
+    The electric field starts nonzero so the e-terms of every integrand are
+    exercised; the comparisons below are pointwise algebra, so the Gauss
+    constraint plays no part.
+    """
+    g = Grid4(16, 0.25, boundary="open")
+    a = data.bpst(g, SU2, lam=1.0)
+    dt = 0.25 * g.h
+    return wave.run_wave(InitialDataSet(a, 0.1 * a.a), WaveParams(dt=dt, t_end=2 * dt))
+
+
+def _reference_report(snaps, vertex, eps):
+    """The identity assembled from the full-grid public functions."""
+    g = snaps[0].a.grid
+    t0, x0 = vertex[0], vertex[1:]
+    x = np.stack([g.coordinate_field(j) - x0[j - 1] for j in range(1, 5)])
+    r = g.radius(center=x0)
+
+    def dissipation(w):
+        t, _, rc, rho, mask = morawetz._cone_geometry(w, vertex, eps)
+        iota = morawetz.iota_xf(w, eps, vertex)
+        dens = np.einsum("b...c,b...c->...", iota, iota)
+        return g.integrate(np.where(mask & (rc <= abs(t)), 2.0 * dens / rho, 0.0))
+
+    def flux(w):
+        t = w.t - t0
+        rho = np.sqrt(np.maximum((t + eps) ** 2 - r**2, 1e-300))
+        X = np.concatenate([((t + eps) / rho)[None], x / rho])
+        P = np.einsum("ab...,b...->a...", morawetz.energy_momentum(w), X)
+        nhat = x / np.where(r > 0.0, r, 1.0)
+        dens = P[0] + np.einsum("j...,j...->...", nhat, P[1:])
+        return g.integrate(np.where(np.abs(r - t) <= 0.5 * g.h, dens, 0.0)) / g.h
+
+    def weighted(w):
+        t = w.t - t0
+        inside = r <= t
+        wp = np.sqrt(np.where(inside, (t + eps + r) / np.maximum(t + eps - r, 1e-300), 1.0))
+        wm = 1.0 / wp
+        nc = morawetz.null_decompose(w, center=x0)
+        sq = lambda v: np.einsum("a...c,a...c->...", v, v)  # noqa: E731
+        good = np.einsum("...c,...c->...", nc.varrho, nc.varrho) + sq(nc.sigma)
+        dens = 0.5 * wp * (sq(nc.alpha) + good) + 0.5 * wm * (sq(nc.alphabar) + good)
+        dens = np.where(nc.mask, dens, 0.5 * (wp + wm) * energy_density(w.curvature()))
+        return g.integrate(np.where(inside, dens, 0.0))
+
+    times = [w.t for w in snaps]
+    diss = float(np.trapezoid([dissipation(w) for w in snaps], times))
+    bdry = float(np.trapezoid([flux(w) for w in snaps], times))
+    we1, we2 = weighted(snaps[0]), weighted(snaps[-1])
+    lhs, rhs = we2 + diss, we1 + bdry
+    return we1, we2, diss, bdry, abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+
+def test_identity_assembly_matches_full_grid_reference(bpst_run):
+    rep = morawetz.morawetz_identity_residual(bpst_run, VERTEX, eps=0.5, t1=0.0, t2=1.0)
+    got = (
+        rep.weighted_energy_start,
+        rep.weighted_energy,
+        rep.interior_dissipation_accum,
+        rep.boundary_term,
+        rep.identity_residual,
+    )
+    want = _reference_report(bpst_run, VERTEX, 0.5)
+    assert min(abs(v) for v in want) > 0.0
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * abs(w)
+
+
+def test_identity_assembly_builds_curvature_once_per_snapshot(bpst_run, monkeypatch):
+    calls = []
+    build = morawetz.curvature
+
+    def counted(a):
+        calls.append(a)
+        return build(a)
+
+    monkeypatch.setattr(morawetz, "curvature", counted)
+    morawetz.morawetz_identity_residual(bpst_run, VERTEX, eps=0.5, t1=0.0, t2=1.0)
+    assert len(calls) == len(bpst_run)
+    assert all(a is w.a for a, w in zip(calls, bpst_run))
+    calls.clear()
+    # a window holding two of the three snapshots builds two curvatures
+    morawetz.morawetz_identity_residual(bpst_run, VERTEX, eps=0.5, t1=bpst_run[1].t, t2=1.0)
+    assert len(calls) == 2
+
+
+def test_identity_assembly_guards(bpst_run):
+    for eps in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(FieldError):
+            morawetz.morawetz_identity_residual(bpst_run, VERTEX, eps=eps, t1=0.0, t2=1.0)
+    with pytest.raises(FieldError):  # trapezoid over unsorted times
+        morawetz.morawetz_identity_residual(bpst_run[::-1], VERTEX, eps=0.5, t1=0.0, t2=1.0)
+    with pytest.raises(FieldError):  # repeated time
+        snaps = [bpst_run[0], bpst_run[0], bpst_run[1]]
+        morawetz.morawetz_identity_residual(snaps, VERTEX, eps=0.5, t1=0.0, t2=1.0)
+    with pytest.raises(FieldError):
+        morawetz.morawetz_identity_residual(bpst_run[:1], VERTEX, eps=0.5, t1=0.0, t2=1.0)

@@ -28,6 +28,13 @@ def test_params_validation_and_cfl():
     WaveParams(dt=0.1, t_end=1.0).check_cfl(0.5)
 
 
+@pytest.mark.parametrize("dt, t_end", [(np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)])
+def test_params_reject_non_finite(dt, t_end):
+    # nan used to pass check_cfl and fail later in ceil; inf overflowed there
+    with pytest.raises(ValueError, match="finite"):
+        WaveParams(dt=dt, t_end=t_end)
+
+
 def test_zero_data_stays_zero():
     g = small_grid()
     d = InitialDataSet(zero_connection(g, SU2), np.zeros((4,) + g.shape + (3,)))

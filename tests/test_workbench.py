@@ -139,6 +139,11 @@ def test_cli_gen_data_and_heat_and_wave(tmp_path):
     assert main(["wave", cfg, "--input", str(out1 / "data.ymf"), "--out", str(out3)]) == 0
     head, arr = snap.read_snapshot(out3 / "final.ymf")
     assert head.components == 8
+    rep3 = json.loads((out3 / "report.json").read_text())
+    for key in ("t_final", "steps", "energy_initial", "energy_final", "gauss_residual_max"):
+        assert key in rep3
+    assert rep3["t_final"] == head.time
+    assert rep3["steps"] == 4  # t_end 0.5 at dt = 0.25 h
 
 
 def test_cli_config_error_exit_code(tmp_path):
