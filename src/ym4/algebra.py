@@ -6,8 +6,8 @@ product and bi-invariance is equivalent to total antisymmetry of c.
 
 The default group is su(2) with basis e_a = -i sigma_a / 2, for which
 [e_a, e_b] = eps_{abc} e_c and group elements are unit quaternions.
-Table-loaded generic groups store elements in the adjoint representation
-(real orthogonal d x d matrices).
+Fields are coefficient arrays with the algebra index last; the kernels
+below act pointwise on any leading shape.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 
 class AlgebraError(ValueError):
-    """Raised for invalid structure constants or mismatched specs."""
+    """Raised for invalid structure constants or a malformed spec file."""
 
 
 def _su2_structure_constants() -> np.ndarray:
@@ -53,13 +53,7 @@ class LieGroupSpec:
         # total antisymmetry <=> bi-invariance of the Euclidean inner product
         if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > tol:
             raise AlgebraError("structure constants not totally antisymmetric")
-        # Jacobi: sum_m c[a,b,m] c[m,k,l] + cyclic in (a,b,k) = 0
-        j = (
-            np.einsum("abm,mkl->abkl", c, c)
-            + np.einsum("bkm,mal->abkl", c, c)
-            + np.einsum("kam,mbl->abkl", c, c)
-        )
-        if np.max(np.abs(j)) > tol:
+        if self.jacobi_residual() > tol:
             raise AlgebraError("Jacobi identity violated")
 
     @property
@@ -69,6 +63,7 @@ class LieGroupSpec:
         )
 
     def jacobi_residual(self) -> float:
+        """Max of sum_m c[a,b,m] c[m,k,l] + cyclic in (a,b,k); 0 for a Lie algebra."""
         c = self.structure_constants
         j = (
             np.einsum("abm,mkl->abkl", c, c)
@@ -119,122 +114,6 @@ def load_spec(path) -> LieGroupSpec:
         raise AlgebraError(f"expected {dim**3} structure constants, got {len(flat)}")
     c = np.array(flat).reshape(dim, dim, dim)
     return LieGroupSpec(entries["name"], dim, c)
-
-
-# -- values ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LieValue:
-    """A point of the Lie algebra: coefficients in the orthonormal basis."""
-
-    spec: LieGroupSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.spec.dim,):
-            raise AlgebraError(f"expected {self.spec.dim} coefficients")
-        if not np.all(np.isfinite(c)):
-            raise AlgebraError("non-finite coefficients")
-        object.__setattr__(self, "coeffs", c)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-
-@dataclass(frozen=True)
-class GroupValue:
-    """A group element.
-
-    su(2): unit quaternion, ``data.shape == (4,)`` ordered (w, x, y, z).
-    Generic: real orthogonal matrix in the adjoint representation,
-    ``data.shape == (d, d)``.
-    """
-
-    spec: LieGroupSpec
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
-
-    @property
-    def is_quaternion(self) -> bool:
-        return self.data.shape == (4,)
-
-    def unitarity_residual(self) -> float:
-        if self.is_quaternion:
-            return abs(float(self.data @ self.data) - 1.0)
-        d = self.data
-        return float(np.max(np.abs(d @ d.T - np.eye(d.shape[0]))))
-
-    def renormalized(self) -> "GroupValue":
-        if self.is_quaternion:
-            return GroupValue(self.spec, self.data / np.linalg.norm(self.data))
-        u, _, vt = np.linalg.svd(self.data)
-        return GroupValue(self.spec, u @ vt)
-
-    def inverse(self) -> "GroupValue":
-        if self.is_quaternion:
-            q = self.data
-            return GroupValue(self.spec, np.array([q[0], -q[1], -q[2], -q[3]]))
-        return GroupValue(self.spec, self.data.T)
-
-    def __matmul__(self, other: "GroupValue") -> "GroupValue":
-        if self.spec is not other.spec and self.spec != other.spec:
-            raise AlgebraError("group values from different specs")
-        if self.is_quaternion:
-            return GroupValue(self.spec, quat_mul(self.data, other.data))
-        return GroupValue(self.spec, self.data @ other.data)
-
-
-def identity(spec: LieGroupSpec) -> GroupValue:
-    if spec.is_su2:
-        return GroupValue(spec, np.array([1.0, 0.0, 0.0, 0.0]))
-    return GroupValue(spec, np.eye(spec.dim))
-
-
-# -- operations --------------------------------------------------------------
-
-
-def _check_same_spec(x: LieValue, y: LieValue) -> None:
-    if x.spec != y.spec:
-        raise AlgebraError("operands belong to different group specs")
-
-
-def bracket(x: LieValue, y: LieValue) -> LieValue:
-    """[X, Y] via structure constants."""
-    _check_same_spec(x, y)
-    c = x.spec.structure_constants
-    return LieValue(x.spec, np.einsum("a,b,abk->k", x.coeffs, y.coeffs, c))
-
-
-def inner(x: LieValue, y: LieValue) -> float:
-    """Bi-invariant inner product (Euclidean dot of coefficients)."""
-    _check_same_spec(x, y)
-    return float(x.coeffs @ y.coeffs)
-
-
-def exp(x: LieValue) -> GroupValue:
-    """Group exponential in the shipped representation."""
-    if x.spec.is_su2:
-        return GroupValue(x.spec, quat_exp(x.coeffs))
-    # adjoint representation: exp(ad_X), ad_X acting on coefficient vectors
-    c = x.spec.structure_constants
-    ad = np.einsum("a,abk->bk", x.coeffs, c).T  # (ad_X Y)_k = c[a,b,k] X_a Y_b
-    from scipy.linalg import expm
-
-    return GroupValue(x.spec, expm(ad))
-
-
-def adjoint(o: GroupValue, x: LieValue) -> LieValue:
-    """Ad(O) X = O X O^{-1}, acting on coefficient vectors."""
-    if o.spec != x.spec:
-        raise AlgebraError("operands belong to different group specs")
-    if o.is_quaternion:
-        r = quat_rotation_matrix(o.data)
-        return LieValue(x.spec, r @ x.coeffs)
-    return LieValue(x.spec, o.data @ x.coeffs)
 
 
 # -- quaternion kernels (vectorized; leading axes arbitrary) -----------------

@@ -21,7 +21,6 @@ from .gaugefield import (
     FieldError,
     GaugeTransformField,
     InitialDataSet,
-    curvature,
     gauss_project,
     gauss_residual,
     maurer_cartan,

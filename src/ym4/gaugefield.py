@@ -16,7 +16,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import LieGroupSpec, quat_conj, quat_mul, quat_normalize, quat_rotation_matrix
-from .grid import Grid4, GridError
+from .grid import Grid4
 
 PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 _PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
@@ -180,11 +180,6 @@ def gauge_transform(a: ConnectionField, O: GaugeTransformField) -> ConnectionFie
     for j in range(1, 5):
         out[j - 1] = transform_coefficients(O, a.a[j - 1]) - maurer_cartan(O, j)
     return ConnectionField(a.grid, a.spec, out)
-
-
-def gauge_transform_covariant(O: GaugeTransformField, v: np.ndarray) -> np.ndarray:
-    """Ad(O) on covariant fields (curvature components, electric fields)."""
-    return transform_coefficients(O, v)
 
 
 # -- energies and topology ---------------------------------------------------

@@ -168,6 +168,14 @@ class Grid4:
         out[-2] = -np.tensordot(c1, g[-5:][::-1], axes=(0, 0))
         return np.moveaxis(out, 0, ax)
 
+    def divergence(self, v: np.ndarray) -> np.ndarray:
+        """Sum_j partial_j v_j of a 4-vector field (4, n,n,n,n, ...), summed
+        in order j = 1..4 onto zeros."""
+        out = np.zeros(v.shape[1:])
+        for j in range(1, 5):
+            out += self.partial(v[j - 1], j)
+        return out
+
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         out = np.zeros_like(f)
         for j in range(1, 5):
@@ -202,9 +210,6 @@ class Grid4:
     def l2norm(self, f: np.ndarray) -> float:
         """L2(dx) norm; trailing component axes are summed in quadrature."""
         return float(np.sqrt(np.sum(np.asarray(f) ** 2) * self.h**4))
-
-    def max_norm(self, f: np.ndarray) -> float:
-        return float(np.max(np.abs(f)))
 
     # -- band-limited resampling -------------------------------------------
 

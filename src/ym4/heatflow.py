@@ -17,7 +17,6 @@ from . import algebra, gaugefield
 from .errors import BlowUpError
 from .gaugefield import (
     ConnectionField,
-    CurvatureField,
     FieldError,
     GaugeTransformField,
     curvature,
@@ -75,10 +74,7 @@ class HeatTrajectory:
 def _flow_rhs(a: ConnectionField, de_turck: bool) -> np.ndarray:
     rhs = curvature_tension(a)
     if de_turck:
-        g = a.grid
-        div_a = np.zeros(g.shape + (a.spec.dim,))
-        for j in range(1, 5):
-            div_a += g.partial(a.a[j - 1], j)
+        div_a = a.grid.divergence(a.a)
         for i in range(1, 5):
             rhs[i - 1] += gaugefield.covariant_derivative(a, div_a, i)
     return rhs
@@ -94,14 +90,6 @@ def _step(a: ConnectionField, ds: float, integrator: str, de_turck: bool) -> Con
     if not np.all(np.isfinite(new)):
         raise BlowUpError("heat step produced non-finite values", last_state=a)
     return ConnectionField(a.grid, a.spec, new)
-
-
-def heat_step_local_caloric(a: ConnectionField, ds: float, integrator: str = "rk2") -> ConnectionField:
-    return _step(a, ds, integrator, de_turck=False)
-
-
-def heat_step_de_turck(a: ConnectionField, ds: float, integrator: str = "rk2") -> ConnectionField:
-    return _step(a, ds, integrator, de_turck=True)
 
 
 def run_heat(
@@ -264,10 +252,7 @@ def flat_trivialize(
     # lap psi = div(G(O) a) and left-composes exp(psi).
     if g.boundary == "periodic":
         for _ in range(3):
-            b = gauge_transform(a_flat, O).a
-            div_b = np.zeros(g.shape + (a_flat.spec.dim,))
-            for j in range(1, 5):
-                div_b += g.partial(b[j - 1], j)
+            div_b = g.divergence(gauge_transform(a_flat, O).a)
             psi = g.laplace_inverse(div_b, zero_mean=True)
             q = algebra.quat_mul(algebra.quat_exp(psi), O.q)
             O = GaugeTransformField(g, a_flat.spec, algebra.quat_normalize(q))
@@ -325,7 +310,4 @@ def caloric_divergence(a_caloric: ConnectionField) -> tuple:
     the second entry is the natural quadratic comparison scale.
     """
     g = a_caloric.grid
-    div_a = np.zeros(g.shape + (a_caloric.spec.dim,))
-    for j in range(1, 5):
-        div_a += g.partial(a_caloric.a[j - 1], j)
-    return g.l2norm(div_a), g.l2norm(a_caloric.a) ** 2
+    return g.l2norm(g.divergence(a_caloric.a)), g.l2norm(a_caloric.a) ** 2

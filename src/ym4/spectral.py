@@ -112,30 +112,33 @@ def _component_stack(F: CurvatureField) -> np.ndarray:
     return np.concatenate([F.f, F.e], axis=0)
 
 
-def ed_norm(F: CurvatureField, blocks: Optional[LPBlockSet] = None) -> float:
-    """sup_k 2^{-2k} |P_k F|_Linf with the pointwise inner-product norm."""
+def lp_block_sups(F: CurvatureField, blocks: Optional[LPBlockSet] = None) -> list:
+    """[(k, 2^{-2k} |P_k F|_Linf)] for every block, with the pointwise
+    inner-product norm; each window is applied once."""
     if blocks is None:
         blocks = make_blocks(F.grid)
     stack = _component_stack(F)
-    best = 0.0
+    rows = []
     for k in range(blocks.k_min, blocks.k_max + 1):
-        block = _apply_multiplier(F.grid, stack, blocks.window(k))
+        block = lp_project(blocks, stack, k)
         pointwise = np.sqrt(np.einsum("c...a,c...a->...", block, block))
-        best = max(best, 2.0 ** (-2 * k) * float(np.max(pointwise)))
-    return best
+        rows.append((k, 2.0 ** (-2 * k) * float(np.max(pointwise))))
+    return rows
+
+
+def sup_above(rows: list, m: float) -> float:
+    """Largest weighted block sup among the rows with index k > m (0 if none)."""
+    return max([0.0] + [sup for k, sup in rows if k > m])
+
+
+def ed_norm(F: CurvatureField, blocks: Optional[LPBlockSet] = None) -> float:
+    """sup_k 2^{-2k} |P_k F|_Linf with the pointwise inner-product norm."""
+    return sup_above(lp_block_sups(F, blocks), -np.inf)
 
 
 def ed_norm_truncated(F: CurvatureField, m: int, blocks: Optional[LPBlockSet] = None) -> float:
     """The sup restricted to block indices k > m."""
-    if blocks is None:
-        blocks = make_blocks(F.grid)
-    stack = _component_stack(F)
-    best = 0.0
-    for k in range(max(blocks.k_min, m + 1), blocks.k_max + 1):
-        block = _apply_multiplier(F.grid, stack, blocks.window(k))
-        pointwise = np.sqrt(np.einsum("c...a,c...a->...", block, block))
-        best = max(best, 2.0 ** (-2 * k) * float(np.max(pointwise)))
-    return best
+    return sup_above(lp_block_sups(F, blocks), m)
 
 
 # -- Leray projection --------------------------------------------------------
@@ -293,11 +296,6 @@ def a0_quadratic_form(g: Grid4, spec, A: np.ndarray, B: np.ndarray) -> np.ndarra
     return g.laplace_inverse(bracket + 2.0 * q, zero_mean=True)
 
 
-def da0_quadratic_form(g: Grid4, spec, B: np.ndarray) -> np.ndarray:
-    """DA0^2(B, B) = -2 Lap^{-1} Q(B, B): same kernel, one argument pair."""
-    return -2.0 * g.laplace_inverse(q_bilinear(g, spec, B, B), zero_mean=True)
-
-
 def tangency_enforce(g: Grid4, spec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Adjust b so the discrete divergence relation div b = 2 Q(a, b) holds.
 
@@ -308,8 +306,7 @@ def tangency_enforce(g: Grid4, spec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     grid's own derivative symbols (kernel modes of the symbol excluded on
     both sides).
     """
-    div_b = sum(g.partial(b[j - 1], j) for j in range(1, 5))
-    phi = g.laplace_inverse(div_b, zero_mean=True)
+    phi = g.laplace_inverse(g.divergence(b), zero_mean=True)
     b0 = np.stack([b[j - 1] - g.partial(phi, j) for j in range(1, 5)])
     psi = g.laplace_inverse(2.0 * q_bilinear(g, spec, a, b0), zero_mean=True)
     return np.stack([b0[j - 1] + g.partial(psi, j) for j in range(1, 5)])

@@ -18,8 +18,6 @@ potential -Lap^{-1} div e, so b is the divergence-free part of e).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from . import algebra
@@ -65,7 +63,7 @@ def linearized_rhs(B: np.ndarray, a_s: ConnectionField, F_s: CurvatureField) -> 
     g = a_s.grid
     if not a_s.a.any():
         # zero background: covariant derivatives reduce to plain partials
-        div_B = sum(g.partial(B[j - 1], j) for j in range(1, 5))
+        div_B = g.divergence(B)
         out = np.stack(
             [g.laplacian(B[k - 1]) - g.partial(div_B, k) for k in range(1, 5)]
         )
@@ -88,30 +86,6 @@ def linearized_rhs(B: np.ndarray, a_s: ConnectionField, F_s: CurvatureField) -> 
             )
             acc += covariant_derivative(a_s, g_jk, j)
     return out
-
-
-def linearized_heat_step(
-    B: np.ndarray,
-    a_s: ConnectionField,
-    F_s: CurvatureField,
-    ds: float,
-    a_mid: Optional[ConnectionField] = None,
-    F_mid: Optional[CurvatureField] = None,
-) -> np.ndarray:
-    """One RK2 step of the linearized flow on the (frozen) background.
-
-    When midpoint background fields are supplied the second stage is
-    evaluated on them; otherwise the background is frozen across the step.
-    """
-    k1 = linearized_rhs(B, a_s, F_s)
-    if a_mid is None:
-        a_mid, F_mid = a_s, F_s
-    elif F_mid is None:
-        F_mid = curvature(a_mid)
-    k2 = linearized_rhs(B + 0.5 * ds * k1, a_mid, F_mid)
-    new = B + ds * k2
-    _check_finite(new, "linearized heat step")
-    return new
 
 
 def electric_rhs(E: np.ndarray, a_s: ConnectionField, F_s: CurvatureField) -> np.ndarray:
@@ -137,26 +111,6 @@ def electric_rhs(E: np.ndarray, a_s: ConnectionField, F_s: CurvatureField) -> np
                     a_s.spec, pair_component(F_s.f, j, l), E[l - 1]
                 )
     return out
-
-
-def electric_parabolic_step(
-    E: np.ndarray,
-    a_s: ConnectionField,
-    F_s: CurvatureField,
-    ds: float,
-    a_mid: Optional[ConnectionField] = None,
-    F_mid: Optional[CurvatureField] = None,
-) -> np.ndarray:
-    """One RK2 step of the covariant parabolic electric-field flow."""
-    k1 = electric_rhs(E, a_s, F_s)
-    if a_mid is None:
-        a_mid, F_mid = a_s, F_s
-    elif F_mid is None:
-        F_mid = curvature(a_mid)
-    k2 = electric_rhs(E + 0.5 * ds * k1, a_mid, F_mid)
-    new = E + ds * k2
-    _check_finite(new, "electric parabolic step")
-    return new
 
 
 def _coevolve(a: ConnectionField, V: np.ndarray, p: HeatParams, rhs):

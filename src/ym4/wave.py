@@ -12,7 +12,7 @@ every accepted step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -39,11 +39,8 @@ class WaveParams:
     dt: float
     t_end: float
     snapshot_stride: int = 1
-    integrator: str = "leapfrog"
 
     def __post_init__(self):
-        if self.integrator != "leapfrog":
-            raise ValueError("only leapfrog stepping is provided")
         if not (0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf):
             raise ValueError("dt and t_end must be finite and positive")
         if self.snapshot_stride < 1:

@@ -92,22 +92,33 @@ def build_data(cfg: ExperimentConfig, grid: Grid4, spec) -> InitialDataSet:
 
 
 def build_heat_params(cfg: ExperimentConfig, grid: Grid4) -> heatflow.HeatParams:
-    ds = cfg.get("heat", "ds_factor", default=0.1, cast=float) * grid.h**2
-    return heatflow.HeatParams(
-        ds=ds,
+    kwargs = dict(
+        ds=cfg.get("heat", "ds_factor", default=0.1, cast=float) * grid.h**2,
         s_max=cfg.get("heat", "s_max", default=1.0, cast=float),
         integrator=cfg.get("heat", "integrator", default="rk2"),
         stop_F_tol=cfg.get("heat", "stop_F_tol", default=1e-6, cast=float),
         sample_stride=cfg.get("heat", "sample_stride", default=1, cast=int),
     )
+    try:
+        p = heatflow.HeatParams(**kwargs)
+        p.check_stability(grid.h)
+    except ValueError as err:
+        raise ConfigError(f"[heat] {err}") from err
+    return p
 
 
 def build_wave_params(cfg: ExperimentConfig, grid: Grid4) -> wave.WaveParams:
-    return wave.WaveParams(
+    kwargs = dict(
         dt=cfg.get("wave", "cfl", default=0.25, cast=float) * grid.h,
         t_end=cfg.get("wave", "t_end", default=1.0, cast=float),
         snapshot_stride=cfg.get("wave", "snapshot_stride", default=1, cast=int),
     )
+    try:
+        p = wave.WaveParams(**kwargs)
+        p.check_cfl(grid.h)
+    except ValueError as err:
+        raise ConfigError(f"[wave] {err}") from err
+    return p
 
 
 def _outdir(cfg: ExperimentConfig, args) -> Path:
@@ -357,19 +368,15 @@ def cmd_ed_norm(args) -> int:
     _write_resolved(cfg, outdir)
     F = gaugefield.curvature(d.a)
     blocks = spectral.make_blocks(grid)
-    rows = []
-    for k in range(blocks.k_min, blocks.k_max + 1):
-        block = spectral.lp_project(blocks, F.f, k)
-        pointwise = np.sqrt(np.einsum("c...a,c...a->...", block, block))
-        rows.append((k, 2.0 ** (-2 * k) * float(np.max(pointwise))))
+    rows = spectral.lp_block_sups(F, blocks)
     _write_csv(outdir / "ed.csv", ["k [dyadic]", "weighted_block_sup [1/len^2]"], rows)
     m = cfg.get("diagnostics", "ed_truncation", default=blocks.k_min, cast=int)
     _write_report(
         outdir,
         "report.json",
         {
-            "ed_norm": spectral.ed_norm(F, blocks),
-            "ed_norm_truncated": spectral.ed_norm_truncated(F, m, blocks),
+            "ed_norm": spectral.sup_above(rows, -np.inf),
+            "ed_norm_truncated": spectral.sup_above(rows, m),
             "truncation_index": m,
         },
     )

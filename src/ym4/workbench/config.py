@@ -21,7 +21,6 @@ SCHEMA = {
         "lambda",
         "center",
         "orientation",
-        "excise_radius",
     },
     "heat": {
         "ds_factor",
@@ -32,7 +31,7 @@ SCHEMA = {
         "de_turck",
     },
     "wave": {"cfl", "t_end", "snapshot_stride"},
-    "diagnostics": {"eps", "vertex", "t1", "t2", "ed_truncation", "threshold"},
+    "diagnostics": {"eps", "vertex", "t1", "t2", "ed_truncation"},
     "output": {"dir"},
 }
 

@@ -149,6 +149,20 @@ def test_fft_round_trip():
     assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
 
+@pytest.mark.parametrize(
+    "boundary, deriv", [("periodic", "stencil4"), ("open", "stencil4"), ("periodic", "spectral")]
+)
+def test_divergence_bitwise_equals_explicit_loop(boundary, deriv):
+    g = Grid4(8, 0.5, boundary=boundary, deriv=deriv)
+    v = np.random.default_rng(5).normal(size=(4,) + g.shape + (3,))
+    want = np.zeros(g.shape + (3,))
+    for j in range(1, 5):
+        want += g.partial(v[j - 1], j)
+    got = g.divergence(v)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_open_boundary_polynomial_exact():
     # the one-sided fourth-order closures differentiate cubics exactly
     g = Grid4(8, 0.5, boundary="open")

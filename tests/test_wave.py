@@ -20,8 +20,6 @@ def small_grid(n=8, h=0.5):
 def test_params_validation_and_cfl():
     with pytest.raises(ValueError):
         WaveParams(dt=-0.1, t_end=1.0)
-    with pytest.raises(ValueError):
-        WaveParams(dt=0.1, t_end=1.0, integrator="rk4")
     p = WaveParams(dt=0.3, t_end=1.0)
     with pytest.raises(ValueError):
         p.check_cfl(0.5)  # 0.3 > 0.4 * 0.5

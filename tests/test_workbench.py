@@ -1,18 +1,23 @@
 """Unit tests for the config parser, snapshot format, and CLI workbench."""
 
+import ast
+import csv
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ym4 import algebra
+from ym4 import algebra, data, spectral
+from ym4.gaugefield import curvature
 from ym4.grid import Grid4
+from ym4.workbench import cli
 from ym4.workbench import snapshot as snap
 from ym4.workbench.cli import main
-from ym4.workbench.config import ConfigError, parse_config
+from ym4.workbench.config import SCHEMA, ConfigError, parse_config
 
 SU2 = algebra.su2()
 
@@ -204,3 +209,72 @@ def test_cli_outputs_independent_of_thread_env(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         outs[threads] = (out / "data.ymf").read_bytes()
     assert outs["1"] == outs["4"]
+
+
+@pytest.mark.parametrize(
+    "command, old, new, reason",
+    [
+        ("wave", "t_end = 0.5", "t_end = nan", "finite"),
+        ("wave", "cfl = 0.25", "cfl = 0.5", "cfl"),
+        ("heat", "ds_factor = 0.05", "ds_factor = 0.5", "stability"),
+    ],
+)
+def test_cli_bad_flow_parameters_are_config_errors(tmp_path, capsys, command, old, new, reason):
+    path = tmp_path / "exp.cfg"
+    path.write_text(BASE_CFG.replace(old, new))
+    assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and reason in err
+
+
+def _keys_read_by_cli():
+    """(section, key) pairs the CLI reads through cfg.get/get_floats/get_bool."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    pairs = {("output", "dir")}  # _outdir reads it through cfg.sections
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("get", "get_floats", "get_bool")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "cfg"
+        ):
+            section, key = (arg.value for arg in node.args[:2])
+            pairs.add((section, key))
+    return pairs
+
+
+def test_every_schema_key_is_read():
+    schema = {(section, key) for section, keys in SCHEMA.items() for key in keys}
+    assert _keys_read_by_cli() == schema
+
+
+def test_cli_ed_norm_one_window_per_block(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, "[diagnostics]\ned_truncation = 2\n")
+    # every window application, from lp_project or any other path, builds
+    # its window through LPBlockSet.window
+    calls = []
+    window = spectral.LPBlockSet.window
+
+    def counted(blocks, k):
+        calls.append(k)
+        return window(blocks, k)
+
+    monkeypatch.setattr(spectral.LPBlockSet, "window", counted)
+    out = tmp_path / "ed"
+    assert main(["ed-norm", cfg, "--out", str(out)]) == 0
+    monkeypatch.undo()
+
+    g = Grid4(8, 0.5)
+    blocks = spectral.make_blocks(g)
+    assert calls == list(range(blocks.k_min, blocks.k_max + 1))
+    d = data.random_data(g, SU2, seed=7, amplitude=0.05, k_band=1)
+    F = curvature(d.a)
+    with open(out / "ed.csv") as fh:
+        rows = [(int(k), float(v)) for k, v in list(csv.reader(fh))[1:]]
+    assert rows == spectral.lp_block_sups(F, blocks)
+    report = json.loads((out / "report.json").read_text())
+    assert report["truncation_index"] == 2
+    assert report["ed_norm"] == spectral.ed_norm(F, blocks)
+    assert report["ed_norm_truncated"] == spectral.ed_norm_truncated(F, 2, blocks)
+    assert 0.0 < report["ed_norm_truncated"] < report["ed_norm"]
