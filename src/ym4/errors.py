@@ -4,14 +4,14 @@
 class BlowUpError(RuntimeError):
     """Raised when an evolution produces non-finite or runaway values.
 
-    Carries the last finite state and any partial trajectory so callers can
-    report diagnostics instead of losing the run.
+    Carries the last finite state and the partial trajectory the flow loop
+    attaches, so callers can report diagnostics instead of losing the run.
     """
 
-    def __init__(self, message, last_state=None, partial=None):
+    def __init__(self, message, last_state=None):
         super().__init__(message)
         self.last_state = last_state
-        self.partial = partial
+        self.partial = None
 
 
 class InvariantError(RuntimeError):

@@ -2,8 +2,8 @@
 
 The flow is ds a_i = D^l f_{li} (the "local" form, whose s-component of the
 evolved connection is zero), optionally augmented with the parabolic gauge
-term D_i(div a).  Explicit Euler / midpoint-RK2 stepping with the stability
-budget ds <= 0.2 h^2.
+term D_i(div a).  Explicit midpoint-RK2 stepping with the stability budget
+ds <= 0.2 h^2.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .gaugefield import (
     energy_density,
     gauge_transform,
 )
+from .stepping import march
 
 STABILITY_FACTOR = 0.2  # max ds / h^2 for the explicit fourth-order stencil
 
@@ -32,13 +33,13 @@ STABILITY_FACTOR = 0.2  # max ds / h^2 for the explicit fourth-order stencil
 class HeatParams:
     ds: float
     s_max: float
-    integrator: str = "rk2"  # "euler" | "rk2"
+    integrator: str = "rk2"  # the only one
     stop_F_tol: float = 1e-6
     sample_stride: int = 1
 
     def __post_init__(self):
-        if self.integrator not in ("euler", "rk2"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
+        if self.integrator != "rk2":
+            raise ValueError(f"unknown integrator {self.integrator!r} (only 'rk2')")
         if not (0.0 < self.ds < np.inf and 0.0 < self.s_max < np.inf):
             raise ValueError("ds and s_max must be finite and positive")
         if self.sample_stride < 1:
@@ -80,16 +81,30 @@ def _flow_rhs(a: ConnectionField, de_turck: bool) -> np.ndarray:
     return rhs
 
 
-def _step(a: ConnectionField, ds: float, integrator: str, de_turck: bool) -> ConnectionField:
+def _step(a: ConnectionField, ds: float, de_turck: bool) -> ConnectionField:
     k1 = _flow_rhs(a, de_turck)
-    if integrator == "euler":
-        new = a.a + ds * k1
-    else:
-        mid = ConnectionField(a.grid, a.spec, a.a + 0.5 * ds * k1)
-        new = a.a + ds * _flow_rhs(mid, de_turck)
+    mid = ConnectionField(a.grid, a.spec, a.a + 0.5 * ds * k1)
+    new = a.a + ds * _flow_rhs(mid, de_turck)
     if not np.all(np.isfinite(new)):
         raise BlowUpError("heat step produced non-finite values", last_state=a)
     return ConnectionField(a.grid, a.spec, new)
+
+
+def heat_states(a: ConnectionField, p: HeatParams, de_turck: bool = False):
+    """Yield (k, s, a_s, F_s, last) along the RK2 heat flow, from k = 0.
+
+    F_s is the curvature of a_s and last marks the final step.  The zero
+    connection is a fixed point of the flow and is yielded unchanged.
+    """
+    p.check_stability(a.grid.h)
+
+    def rk2(pair):
+        a_new = _step(pair[0], p.ds, de_turck)
+        return a_new, curvature(a_new)
+
+    step = rk2 if a.a.any() else (lambda pair: pair)
+    for k, (a_s, F_s), last in march((a, curvature(a)), step, p.ds, p.s_max):
+        yield k, k * p.ds, a_s, F_s, last
 
 
 def run_heat(
@@ -102,16 +117,14 @@ def run_heat(
 
     Accumulates the energy series, the caloric-size integral of |F|^3 and
     the dissipation integral of |tension|^2 by the trapezoid rule in s.
-    ``observer(step_index, s, a, F)``, when given, is called at every step
-    (used by the co-evolving linearized flows).
+    ``observer(step_index, s, a, F)``, when given, is called at every step.
+    On blow-up the partial trajectory, ending at the last finite state, is
+    attached to the error.
     """
-    p.check_stability(a.grid.h)
     g = a.grid
     traj = HeatTrajectory()
-    n_steps = int(np.ceil(p.s_max / p.ds - 1e-12))
 
-    def diagnostics(state):
-        F = curvature(state)
+    def diagnostics(state, F):
         dens = energy_density(F)
         energy = g.integrate(dens)
         i3 = g.integrate(dens**1.5)
@@ -121,46 +134,35 @@ def run_heat(
         # equals the energy drop exactly in the continuum limit.
         tension_sq = g.integrate(np.einsum("k...a,k...a->...", tension, tension))
         f_inf = float(np.sqrt(np.max(dens)))
-        return F, energy, i3, 2.0 * tension_sq, f_inf
+        return energy, i3, 2.0 * tension_sq, f_inf
 
-    s = 0.0
-    F, energy, i3, diss, f_inf = diagnostics(a)
-    traj.s_samples.append(s)
-    traj.energy_series.append(energy)
-    traj.tension_l2_series.append(float(np.sqrt(0.5 * diss)))
-    traj.caloric_size_series.append(0.0)
-    traj.dissipation_series.append(0.0)
-    if observer is not None:
-        observer(0, s, a, F)
-
-    state = a
     caloric_accum = 0.0
     diss_accum = 0.0
-    for k in range(1, n_steps + 1):
-        try:
-            state = _step(state, p.ds, p.integrator, de_turck)
-        except BlowUpError as err:
-            err.partial = traj
-            traj.terminal = err.last_state
-            raise
-        s = k * p.ds
-        i3_prev, diss_prev = i3, diss
-        F, energy, i3, diss, f_inf = diagnostics(state)
-        if observer is not None:
-            observer(k, s, state, F)
-        caloric_accum += 0.5 * p.ds * (i3_prev + i3)
-        diss_accum += 0.5 * p.ds * (diss_prev + diss)
-        if k % p.sample_stride == 0 or k == n_steps or f_inf <= p.stop_F_tol:
-            traj.s_samples.append(s)
-            traj.energy_series.append(energy)
-            traj.tension_l2_series.append(float(np.sqrt(0.5 * diss)))
-            traj.caloric_size_series.append(caloric_accum)
-            traj.dissipation_series.append(diss_accum)
-        if f_inf <= p.stop_F_tol:
-            traj.reached_tolerance = True
-            break
+    try:
+        for k, s, state, F, last in heat_states(a, p, de_turck):
+            energy, i3_k, diss_k, f_inf = diagnostics(state, F)
+            if observer is not None:
+                observer(k, s, state, F)
+            if k > 0:
+                caloric_accum += 0.5 * p.ds * (i3 + i3_k)
+                diss_accum += 0.5 * p.ds * (diss + diss_k)
+            i3, diss = i3_k, diss_k
+            stop = k > 0 and f_inf <= p.stop_F_tol
+            if k % p.sample_stride == 0 or last or stop:
+                traj.s_samples.append(s)
+                traj.energy_series.append(energy)
+                traj.tension_l2_series.append(float(np.sqrt(0.5 * diss)))
+                traj.caloric_size_series.append(caloric_accum)
+                traj.dissipation_series.append(diss_accum)
+            if stop:
+                traj.reached_tolerance = True
+                break
+    except BlowUpError as err:
+        err.partial = traj
+        traj.terminal = err.last_state
+        raise
     traj.terminal = state
-    traj.tail_flagged = not traj.reached_tolerance and f_inf > p.stop_F_tol
+    traj.tail_flagged = f_inf > p.stop_F_tol
     return traj
 
 

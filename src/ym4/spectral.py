@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import algebra
-from .gaugefield import ConnectionField, CurvatureField
+from .gaugefield import ConnectionField, CurvatureField, covariant_divergence, covariant_poisson
 from .grid import Grid4
 
 Q_MAX_N = 8
@@ -112,14 +112,18 @@ def _component_stack(F: CurvatureField) -> np.ndarray:
     return np.concatenate([F.f, F.e], axis=0)
 
 
-def lp_block_sups(F: CurvatureField, blocks: Optional[LPBlockSet] = None) -> list:
-    """[(k, 2^{-2k} |P_k F|_Linf)] for every block, with the pointwise
-    inner-product norm; each window is applied once."""
+def lp_block_sups(
+    F: CurvatureField, blocks: Optional[LPBlockSet] = None, k_lo: Optional[int] = None
+) -> list:
+    """[(k, 2^{-2k} |P_k F|_Linf)] for every block k >= k_lo (all blocks when
+    k_lo is None), with the pointwise inner-product norm; each of those
+    windows is applied once."""
     if blocks is None:
         blocks = make_blocks(F.grid)
+    k_lo = blocks.k_min if k_lo is None else max(k_lo, blocks.k_min)
     stack = _component_stack(F)
     rows = []
-    for k in range(blocks.k_min, blocks.k_max + 1):
+    for k in range(k_lo, blocks.k_max + 1):
         block = lp_project(blocks, stack, k)
         pointwise = np.sqrt(np.einsum("c...a,c...a->...", block, block))
         rows.append((k, 2.0 ** (-2 * k) * float(np.max(pointwise))))
@@ -137,8 +141,8 @@ def ed_norm(F: CurvatureField, blocks: Optional[LPBlockSet] = None) -> float:
 
 
 def ed_norm_truncated(F: CurvatureField, m: int, blocks: Optional[LPBlockSet] = None) -> float:
-    """The sup restricted to block indices k > m."""
-    return sup_above(lp_block_sups(F, blocks), m)
+    """The sup restricted to block indices k > m; only those windows are applied."""
+    return sup_above(lp_block_sups(F, blocks, m + 1), m)
 
 
 # -- Leray projection --------------------------------------------------------
@@ -332,8 +336,6 @@ def a0_quadratic_check(
     relation, and cancels the Q part of the bilinear form).  Returns
     (slope, eps list, residual list) where residual = |A0 - A0^2(a, b)|_2.
     """
-    from .gaugefield import covariant_divergence, covariant_poisson
-
     _check_small_grid(a_shape.grid)
     g = a_shape.grid
     spec = a_shape.spec

@@ -30,7 +30,8 @@ from .gaugefield import (
     curvature,
     pair_component,
 )
-from .heatflow import HeatParams, _step
+from .heatflow import HeatParams, heat_states
+from .stepping import step_count
 
 
 @dataclass
@@ -116,30 +117,24 @@ def electric_rhs(E: np.ndarray, a_s: ConnectionField, F_s: CurvatureField) -> np
 def _coevolve(a: ConnectionField, V: np.ndarray, p: HeatParams, rhs):
     """March a by the heat flow and V by the supplied linear rhs in lockstep.
 
-    Returns (V(s) per step generator exhausted) via a callback-free loop:
-    yields (s, a_s, F_s, V_s) at every step boundary including s = 0.
+    Yields (s, a_s, F_s, V_s) at every step boundary including s = 0.  V
+    takes one RK2 step per heat step, its midpoint stage on the mean of the
+    two heat states.
     """
-    p.check_stability(a.grid.h)
-    n_steps = int(np.ceil(p.s_max / p.ds - 1e-12))
-    state = a
-    F = curvature(state)
-    static = not state.a.any()  # the zero connection is a heat-flow fixed point
-    yield 0.0, state, F, V
-    for k in range(1, n_steps + 1):
-        if static:
-            new_state, a_mid, F_mid, F_new = state, state, F, F
-        else:
-            new_state = _step(state, p.ds, p.integrator, de_turck=False)
-            a_mid = ConnectionField(state.grid, state.spec, 0.5 * (state.a + new_state.a))
-            F_mid = curvature(a_mid)
-            F_new = None
-        k1 = rhs(V, state, F)
-        k2 = rhs(V + 0.5 * p.ds * k1, a_mid, F_mid)
-        V = V + p.ds * k2
-        _check_finite(V, "co-evolved linear flow")
-        state = new_state
-        F = curvature(state) if F_new is None else F_new
-        yield k * p.ds, state, F, V
+    static = not a.a.any()  # the zero connection is a heat-flow fixed point
+    for k, s, a_s, F_s, _ in heat_states(a, p):
+        if k > 0:
+            if static:
+                a_mid, F_mid = a_prev, F_prev
+            else:
+                a_mid = ConnectionField(a_s.grid, a_s.spec, 0.5 * (a_prev.a + a_s.a))
+                F_mid = curvature(a_mid)
+            k1 = rhs(V, a_prev, F_prev)
+            k2 = rhs(V + 0.5 * p.ds * k1, a_mid, F_mid)
+            V = V + p.ds * k2
+            _check_finite(V, "co-evolved linear flow")
+        a_prev, F_prev = a_s, F_s
+        yield s, a_s, F_s, V
 
 
 def _flat_mode_factors(g, p: HeatParams):
@@ -150,10 +145,10 @@ def _flat_mode_factors(g, p: HeatParams):
     g(lam) = 1 - lam*ds + (lam*ds)^2/2 per eigenvalue lam of the (positive)
     spatial operator, and the trapezoid sum of N iterates collapses to the
     geometric sum ds*(1/2 + g + ... + g^{N-1} + g^N/2).  Returns
-    (n_steps, lam, g^N, trapezoid weight) with lam = -laplace symbol.
+    (lam, g^N, trapezoid weight) with lam = -laplace symbol.
     """
     p.check_stability(g.h)
-    n_steps = int(np.ceil(p.s_max / p.ds - 1e-12))
+    n_steps = step_count(p.ds, p.s_max)
     lam = -g.laplace_symbol()
     x = lam * p.ds
     gfac = 1.0 - x + 0.5 * x * x
@@ -164,7 +159,7 @@ def _flat_mode_factors(g, p: HeatParams):
         0.5 * (1.0 + g_n) + (gfac - g_n) / denom,
         float(n_steps),
     )
-    return n_steps, lam, g_n, trapz
+    return lam, g_n, trapz
 
 
 def _flat_tangent_terminal(b: np.ndarray, g, p: HeatParams) -> np.ndarray:
@@ -173,7 +168,7 @@ def _flat_tangent_terminal(b: np.ndarray, g, p: HeatParams) -> np.ndarray:
     The flow symbol is -(lam I - s s^T): the gradient part of each mode is
     frozen and the orthogonal part contracts by g(lam) per step.
     """
-    _, lam, g_n, _ = _flat_mode_factors(g, p)
+    lam, g_n, _ = _flat_mode_factors(g, p)
     bhat = [g.fft(b[j - 1]) for j in range(1, 5)]
     syms = [g.deriv_symbol(j)[..., None] for j in range(1, 5)]
     s_dot_b = sum(s * bh for s, bh in zip(syms, bhat))
@@ -226,7 +221,7 @@ def div_curl_decompose(
     """
     g = a.grid
     if fast_flat and not a.a.any() and g.boundary == "periodic":
-        _, _, g_n, trapz = _flat_mode_factors(g, p)
+        _, g_n, trapz = _flat_mode_factors(g, p)
         ehat = [g.fft(e[j - 1]) for j in range(1, 5)]
         div_hat = sum(
             1j * g.deriv_symbol(j)[..., None] * eh for j, eh in zip(range(1, 5), ehat)

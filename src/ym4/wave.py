@@ -29,6 +29,7 @@ from .gaugefield import (
     curvature_tension,
     energy_density,
 )
+from .stepping import march
 
 MAX_CFL = 0.4
 BLOWUP_DENSITY_FACTOR = 1e6
@@ -101,25 +102,22 @@ def run_wave(d: InitialDataSet, p: WaveParams) -> List[WaveState]:
     w = WaveState(0.0, d.a, np.array(d.e, dtype=float, copy=True))
     w.gauss_residual = _gauss(w.a, w.adot)
     peak0 = float(np.max(energy_density(w.curvature())))
-    snapshots = [w]
-    n_steps = int(np.ceil(p.t_end / p.dt - 1e-12))
-    for k in range(1, n_steps + 1):
-        try:
-            w = wave_step(w, p.dt)
-        except BlowUpError as err:
-            err.partial = snapshots
-            raise
-        if peak0 > 0.0:
-            peak = float(np.max(energy_density(w.curvature())))
-            if peak > BLOWUP_DENSITY_FACTOR * peak0:
-                raise BlowUpError(
-                    f"energy density blow-up at t = {w.t:.6g} "
-                    f"(peak ratio {peak / peak0:.3e})",
-                    last_state=w,
-                    partial=snapshots,
-                )
-        if k % p.snapshot_stride == 0 or k == n_steps:
-            snapshots.append(w)
+    snapshots = []
+    try:
+        for k, w, last in march(w, lambda w: wave_step(w, p.dt), p.dt, p.t_end):
+            if k > 0 and peak0 > 0.0:
+                peak = float(np.max(energy_density(w.curvature())))
+                if peak > BLOWUP_DENSITY_FACTOR * peak0:
+                    raise BlowUpError(
+                        f"energy density blow-up at t = {w.t:.6g} "
+                        f"(peak ratio {peak / peak0:.3e})",
+                        last_state=w,
+                    )
+            if k % p.snapshot_stride == 0 or last:
+                snapshots.append(w)
+    except BlowUpError as err:
+        err.partial = snapshots
+        raise
     return snapshots
 
 
@@ -166,11 +164,7 @@ def temporal_gauge_transport(
 
     out = [O_init]
     q = O_init.q
-    n_steps = (len(a0_series) - 1) // 2
-    for k in range(n_steps):
-        a0_0 = a0_series[2 * k]
-        a0_m = a0_series[2 * k + 1]
-        a0_1 = a0_series[2 * k + 2]
+    for a0_0, a0_m, a0_1 in zip(a0_series[:-1:2], a0_series[1::2], a0_series[2::2]):
         k1 = times_algebra(q, a0_0)
         k2 = times_algebra(q + 0.5 * dt * k1, a0_m)
         k3 = times_algebra(q + 0.5 * dt * k2, a0_m)

@@ -50,28 +50,16 @@ def build_spec(cfg: ExperimentConfig):
     if name == "abelian":
         return algebra.abelian(3)
     if name == "file":
-        return algebra.load_spec(cfg.get("group", "file"))
+        path = cfg.get("group", "file")
+        try:
+            return algebra.load_spec(path)
+        except ValueError as err:  # AlgebraError, or a non-numeric entry
+            raise ConfigError(f"[group] file {path}: {err}") from err
     raise ConfigError(f"unknown group name {name!r}")
 
 
 def build_data(cfg: ExperimentConfig, grid: Grid4, spec) -> InitialDataSet:
     kind = cfg.get("data", "kind", default="zero")
-    if kind == "zero":
-        a = gaugefield.zero_connection(grid, spec)
-        d = InitialDataSet(a, np.zeros_like(a.a))
-        d.constraint_residual = 0.0
-        return d
-    if kind == "bpst":
-        a = data.bpst(
-            grid,
-            spec,
-            center=cfg.get_floats("data", "center", default=(0.0, 0.0, 0.0, 0.0)),
-            lam=cfg.get("data", "lambda", default=1.0, cast=float),
-            orientation=cfg.get("data", "orientation", default=1, cast=int),
-        )
-        d = InitialDataSet(a, np.zeros_like(a.a))
-        d.constraint_residual = 0.0
-        return d
     if kind == "random":
         return data.random_data(
             grid,
@@ -80,22 +68,31 @@ def build_data(cfg: ExperimentConfig, grid: Grid4, spec) -> InitialDataSet:
             amplitude=cfg.get("data", "amplitude", default=0.1, cast=float),
             k_band=cfg.get("data", "k_band", default=2, cast=int),
         )
-    if kind == "pure-gauge":
+    if kind == "zero":
+        a = gaugefield.zero_connection(grid, spec)
+    elif kind == "bpst":
+        a = data.bpst(
+            grid,
+            spec,
+            center=cfg.get_floats("data", "center", default=(0.0, 0.0, 0.0, 0.0)),
+            lam=cfg.get("data", "lambda", default=1.0, cast=float),
+            orientation=cfg.get("data", "orientation", default=1, cast=int),
+        )
+    elif kind == "pure-gauge":
         O = data.smooth_transform(
             grid, spec, seed=cfg.get("data", "seed", default=0, cast=int)
         )
         a = data.pure_gauge(O)
-        d = InitialDataSet(a, np.zeros_like(a.a))
-        d.constraint_residual = 0.0
-        return d
-    raise ConfigError(f"unknown data kind {kind!r}")
+    else:
+        raise ConfigError(f"unknown data kind {kind!r}")
+    # static data: a zero electric field satisfies the Gauss constraint exactly
+    return InitialDataSet(a, np.zeros_like(a.a), constraint_residual=0.0)
 
 
 def build_heat_params(cfg: ExperimentConfig, grid: Grid4) -> heatflow.HeatParams:
     kwargs = dict(
         ds=cfg.get("heat", "ds_factor", default=0.1, cast=float) * grid.h**2,
         s_max=cfg.get("heat", "s_max", default=1.0, cast=float),
-        integrator=cfg.get("heat", "integrator", default="rk2"),
         stop_F_tol=cfg.get("heat", "stop_F_tol", default=1e-6, cast=float),
         sample_stride=cfg.get("heat", "sample_stride", default=1, cast=int),
     )
@@ -246,8 +243,6 @@ def cmd_heat(args) -> int:
 
 
 def _dump_heat_csv(outdir: Path, traj) -> None:
-    if traj is None:
-        return
     _write_csv(
         outdir / "heat.csv",
         ["s [len^2]", "energy [1]", "tension_l2 [1/len]", "caloric_size [1]", "dissipation [1]"],
@@ -272,7 +267,7 @@ def cmd_wave(args) -> int:
     try:
         snapshots = wave.run_wave(d, p)
     except BlowUpError as err:
-        _dump_wave_csv(outdir, err.partial or [])
+        _dump_wave_csv(outdir, err.partial)
         print(f"blow-up: {err}", file=sys.stderr)
         return EXIT_BLOWUP
     rows = _dump_wave_csv(outdir, snapshots)
@@ -308,11 +303,7 @@ def cmd_caloric(args) -> int:
     p = build_heat_params(cfg, grid)
     outdir = _outdir(cfg, args)
     _write_resolved(cfg, outdir)
-    try:
-        a_cal, O, traj = heatflow.caloric_project(d.a, p)
-    except BlowUpError as err:
-        print(f"blow-up: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
+    a_cal, O, traj = heatflow.caloric_project(d.a, p)
     snap.write_snapshot(outdir / "caloric.ymf", a_cal.a, grid, spec, snap.KIND_CONNECTION, 0.0)
     div_norm, a_sq = heatflow.caloric_divergence(a_cal)
     retraj = heatflow.run_heat(a_cal, p)
@@ -337,11 +328,7 @@ def cmd_div_curl(args) -> int:
     p = build_heat_params(cfg, grid)
     outdir = _outdir(cfg, args)
     _write_resolved(cfg, outdir)
-    try:
-        cal = tangent.div_curl_decompose(d.a, d.e, p)
-    except BlowUpError as err:
-        print(f"blow-up: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
+    cal = tangent.div_curl_decompose(d.a, d.e, p)
     snap.write_snapshot(outdir / "tangent_b.ymf", cal.b.b, grid, spec, snap.KIND_ELECTRIC, 0.0)
     snap.write_snapshot(outdir / "a0.ymf", cal.a0[None], grid, spec, snap.KIND_SCALARSET, 0.0)
     recon = np.empty_like(d.e)
@@ -395,11 +382,7 @@ def cmd_morawetz(args) -> int:
     vertex = cfg.get_floats("diagnostics", "vertex", default=(0.0, 0.0, 0.0, 0.0, 0.0))
     t1 = cfg.get("diagnostics", "t1", cast=float)
     t2 = cfg.get("diagnostics", "t2", cast=float)
-    try:
-        snapshots = wave.run_wave(d, p)
-    except BlowUpError as err:
-        print(f"blow-up: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
+    snapshots = wave.run_wave(d, p)
     report = morawetz.morawetz_identity_residual(snapshots, vertex, eps, t1, t2)
     _write_csv(
         outdir / "morawetz.csv",
@@ -467,7 +450,7 @@ def _regress_battery(workdir: Path):
     grid = Grid4(n=8, h=0.5)
     spec = algebra.su2()
     d = data.random_data(grid, spec, seed=7, amplitude=0.05, k_band=1)
-    p = heatflow.HeatParams(ds=0.02 * grid.h**2, s_max=0.2, integrator="rk2")
+    p = heatflow.HeatParams(ds=0.02 * grid.h**2, s_max=0.2)
     traj = heatflow.run_heat(d.a, p)
     _dump_heat_csv(workdir, traj)
     wp = wave.WaveParams(dt=0.25 * grid.h, t_end=0.5)

@@ -25,7 +25,6 @@ SCHEMA = {
     "heat": {
         "ds_factor",
         "s_max",
-        "integrator",
         "stop_F_tol",
         "sample_stride",
         "de_turck",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ym4 import algebra, data, heatflow
+from ym4.errors import BlowUpError
 from ym4.gaugefield import ConnectionField, FieldError, curvature, gauge_transform
 from ym4.grid import Grid4
 from ym4.heatflow import (
@@ -34,6 +35,8 @@ def test_params_validation_and_stability():
         HeatParams(ds=-0.1, s_max=1.0)
     with pytest.raises(ValueError):
         HeatParams(ds=0.01, s_max=1.0, integrator="rk9")
+    with pytest.raises(ValueError, match="rk2"):
+        HeatParams(ds=0.01, s_max=1.0, integrator="euler")
     p = HeatParams(ds=0.1, s_max=1.0)
     with pytest.raises(ValueError):
         p.check_stability(0.5)  # 0.1 > 0.2 * 0.25
@@ -91,6 +94,50 @@ def test_stop_tolerance_and_tail_flag():
     p_short = params(g, s_max=0.05, ds=0.0125, stop_F_tol=1e-12)
     traj2 = run_heat(a, p_short)
     assert traj2.tail_flagged
+
+
+SERIES = ("energy_series", "tension_l2_series", "caloric_size_series", "dissipation_series")
+
+
+@pytest.mark.parametrize("s_max, stop_F_tol", [(0.25, 1e-12), (6.0, 3e-5)])
+def test_sample_stride_keeps_every_third_step_the_last_and_the_stop(s_max, stop_F_tol):
+    # 10 steps ending short of a multiple of 3; then an early stop at a
+    # step that is not a multiple of 3 either
+    g = small_grid()
+    a = data.random_connection(g, SU2, seed=2, amplitude=0.02, k_band=1, window=False)
+    ds = 0.025
+    every = run_heat(a, params(g, s_max=s_max, ds=ds, stop_F_tol=stop_F_tol))
+    third = run_heat(a, params(g, s_max=s_max, ds=ds, stop_F_tol=stop_F_tol, sample_stride=3))
+    last = round(every.s_samples[-1] / ds)
+    assert every.s_samples == [k * ds for k in range(last + 1)]
+    assert last % 3 != 0
+    assert every.reached_tolerance == third.reached_tolerance == (stop_F_tol > 1e-12)
+    keep = sorted(set(range(0, last + 1, 3)) | {last})
+    assert third.s_samples == [k * ds for k in keep]
+    for name in SERIES:
+        full = getattr(every, name)
+        assert getattr(third, name) == [full[k] for k in keep]
+    assert np.array_equal(third.terminal.a, every.terminal.a)
+
+
+def test_blow_up_attaches_partial_trajectory_ending_at_last_finite_state():
+    g = small_grid()
+    a = data.random_connection(g, SU2, seed=1, amplitude=30.0, k_band=1, window=False)
+    p = params(g, s_max=1.0, ds=0.2 * g.h**2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(BlowUpError) as info:
+            run_heat(a, p)
+        partial = info.value.partial
+        assert isinstance(partial, heatflow.HeatTrajectory)
+        assert partial.terminal is info.value.last_state
+        assert np.all(np.isfinite(partial.terminal.a))
+        steps = round(partial.s_samples[-1] / p.ds)
+        assert partial.s_samples == [k * p.ds for k in range(steps + 1)]
+        # the same flow stopped before the failing step ends on that state
+        before = run_heat(a, params(g, s_max=steps * p.ds, ds=p.ds))
+    assert np.array_equal(before.terminal.a, partial.terminal.a)
+    for name in SERIES:
+        assert np.array_equal(getattr(before, name), getattr(partial, name), equal_nan=True)
 
 
 def test_de_turck_energy_agrees_with_local_flow():

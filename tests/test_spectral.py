@@ -93,6 +93,26 @@ def test_ed_norm_zero_single_mode_and_truncation():
         prev = cur
 
 
+def test_ed_norm_truncated_applies_only_the_windows_above_m(monkeypatch):
+    g = small_grid()
+    F = curvature(data.random_connection(g, SU2, seed=1, amplitude=0.1, k_band=1))
+    blocks = spectral.make_blocks(g)
+    rows = spectral.lp_block_sups(F, blocks)
+    calls = []
+    window = spectral.LPBlockSet.window
+
+    def counted(self, k):
+        calls.append(k)
+        return window(self, k)
+
+    monkeypatch.setattr(spectral.LPBlockSet, "window", counted)
+    for m in range(blocks.k_min - 1, blocks.k_max + 1):
+        calls.clear()
+        val = spectral.ed_norm_truncated(F, m, blocks)
+        assert calls == list(range(max(m + 1, blocks.k_min), blocks.k_max + 1))
+        assert val == spectral.sup_above(rows, m)
+
+
 def test_ed_norm_paired_grid_scale_step():
     # a'(y) = 2 a(2y) on the half-extent grid reuses the same samples, the
     # blocks shift one index, and 2^{-2k} compensates exactly

@@ -183,6 +183,35 @@ t_end = 4.0
     assert code == 4
 
 
+def test_cli_heat_blowup_writes_partial_csv(tmp_path, capsys):
+    path = tmp_path / "blow.cfg"
+    path.write_text(
+        BASE_CFG.replace("amplitude = 0.05", "amplitude = 30.0").replace(
+            "ds_factor = 0.05", "ds_factor = 0.2"
+        )
+    )
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert main(["heat", str(path), "--out", str(out)]) == 4
+    assert "blow-up" in capsys.readouterr().err
+    with open(out / "heat.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][0] == "s [len^2]"
+    assert [float(row[0]) for row in rows[1:]] == [k * (0.2 * 0.5**2) for k in range(len(rows) - 1)]
+    assert len(rows) >= 3  # s = 0 and at least one accepted step
+    assert not (out / "terminal.ymf").exists()
+
+
+def test_cli_malformed_group_spec_is_config_error(tmp_path, capsys):
+    spec = tmp_path / "group.spec"
+    spec.write_text('{"dim": 2}\n')
+    path = tmp_path / "exp.cfg"
+    path.write_text(BASE_CFG + f"[group]\nname = file\nfile = {spec}\n")
+    for command in ("gen-data", "heat"):
+        assert main([command, str(path), "--out", str(tmp_path / command)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_cli_regress_golden_cycle(tmp_path):
     work1 = tmp_path / "w1"
     golden = tmp_path / "gold"
@@ -217,6 +246,7 @@ def test_cli_outputs_independent_of_thread_env(tmp_path):
         ("wave", "t_end = 0.5", "t_end = nan", "finite"),
         ("wave", "cfl = 0.25", "cfl = 0.5", "cfl"),
         ("heat", "ds_factor = 0.05", "ds_factor = 0.5", "stability"),
+        ("heat", "s_max = 0.2", "s_max = 0.2\nintegrator = euler", "integrator"),
     ],
 )
 def test_cli_bad_flow_parameters_are_config_errors(tmp_path, capsys, command, old, new, reason):
