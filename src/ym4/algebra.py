@@ -13,6 +13,7 @@ below act pointwise on any leading shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class LieGroupSpec:
         if self.jacobi_residual() > tol:
             raise AlgebraError("Jacobi identity violated")
 
-    @property
+    @cached_property
     def is_su2(self) -> bool:
         return self.dim == 3 and np.allclose(
             self.structure_constants, _su2_structure_constants()
@@ -194,10 +195,25 @@ def quat_rotation_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def bracket_arr(spec: LieGroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pointwise bracket of coefficient arrays (algebra axis last)."""
+    """Pointwise bracket of coefficient arrays (algebra axis last); the
+    leading axes broadcast."""
     if spec.is_su2:
-        return np.cross(x, y)
+        return _cross3(x, y)
     return np.einsum("...a,...b,abk->...k", x, y, spec.structure_constants)
+
+
+def _cross3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.cross(x, y) of 3-vectors, bit for bit: component k is x_i y_j minus
+    x_j y_i, each product rounded, as np.cross computes it, but without its
+    copies of both inputs."""
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    out = np.empty(shape, dtype=np.result_type(x, y))
+    tmp = np.empty(shape[:-1], dtype=out.dtype)
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(x[..., i], y[..., j], out=out[..., k])
+        np.multiply(x[..., j], y[..., i], out=tmp)
+        out[..., k] -= tmp
+    return out
 
 
 def inner_arr(x: np.ndarray, y: np.ndarray) -> np.ndarray:

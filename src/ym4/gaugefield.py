@@ -116,7 +116,9 @@ def identity_transform(grid: Grid4, spec: LieGroupSpec) -> GaugeTransformField:
 
 def covariant_derivative(a: ConnectionField, B: np.ndarray, j: int) -> np.ndarray:
     """D_j B = partial_j B + [a_j, B] for an algebra-valued field B."""
-    return a.grid.partial(B, j) + algebra.bracket_arr(a.spec, a.a[j - 1], B)
+    out = a.grid.partial(B, j)
+    out += algebra.bracket_arr(a.spec, a.a[j - 1], B)
+    return out
 
 
 def curvature(a: ConnectionField) -> CurvatureField:
@@ -124,16 +126,17 @@ def curvature(a: ConnectionField) -> CurvatureField:
     g = a.grid
     f = np.empty((6,) + g.shape + (a.spec.dim,))
     for k, (i, j) in enumerate(PAIRS):
-        f[k] = (
-            g.partial(a.a[j - 1], i)
-            - g.partial(a.a[i - 1], j)
-            + algebra.bracket_arr(a.spec, a.a[i - 1], a.a[j - 1])
-        )
+        np.subtract(g.partial(a.a[j - 1], i), g.partial(a.a[i - 1], j), out=f[k])
+        f[k] += algebra.bracket_arr(a.spec, a.a[i - 1], a.a[j - 1])
     return CurvatureField(g, a.spec, f)
 
 
 def curvature_tension(a: ConnectionField, F: Optional[CurvatureField] = None) -> np.ndarray:
-    """T_k = Sum_l D_l f_{lk}: the static Yang-Mills tension, shape (4,...,d)."""
+    """T_k = Sum_l D_l f_{lk}: the static Yang-Mills tension, shape (4,...,d).
+
+    For l > k the stored pair is f_{kl} = -f_{lk}, and D_l f_{kl} is
+    subtracted; IEEE negation is exact, so this equals adding D_l f_{lk}.
+    """
     if F is None:
         F = curvature(a)
     out = np.zeros_like(a.a)
@@ -141,10 +144,10 @@ def curvature_tension(a: ConnectionField, F: Optional[CurvatureField] = None) ->
         for l in range(1, 5):
             if l == k:
                 continue
-            flk = pair_component(F.f, l, k)
-            out[k - 1] += a.grid.partial(flk, l) + algebra.bracket_arr(
-                a.spec, a.a[l - 1], flk
-            )
+            if l < k:
+                out[k - 1] += covariant_derivative(a, F.f[_PAIR_INDEX[(l, k)]], l)
+            else:
+                out[k - 1] -= covariant_derivative(a, F.f[_PAIR_INDEX[(k, l)]], l)
     return out
 
 
@@ -371,15 +374,19 @@ def _ball_energy_max(grid: Grid4, dens: np.ndarray, r: float) -> float:
     return float(np.max(conv))
 
 
-def concentration_scale(d: InitialDataSet, threshold: float) -> float:
+def concentration_scale(
+    d: InitialDataSet, threshold: float, F: Optional[CurvatureField] = None
+) -> float:
     """Largest dyadic ladder radius r with sup_x (ball-r energy) <= threshold.
 
     The threshold is the caller's choice of eps or eps^2; both conventions
-    appear in the definition's uses and are not reconciled here.
+    appear in the definition's uses and are not reconciled here.  F, the
+    curvature of d.a, is built when not given; the energy takes its
+    electric part from d.e.
     """
-    F = curvature(d.a)
-    F.e = d.e
-    dens = energy_density(F)
+    if F is None:
+        F = curvature(d.a)
+    dens = energy_density(CurvatureField(F.grid, F.spec, F.f, e=d.e))
     best = 0.0
     for r in _radius_ladder(d.a.grid):
         if _ball_energy_max(d.a.grid, dens, r) <= threshold:

@@ -118,7 +118,8 @@ def run_heat(
     Accumulates the energy series, the caloric-size integral of |F|^3 and
     the dissipation integral of |tension|^2 by the trapezoid rule in s.
     ``observer(step_index, s, a, F)``, when given, is called at every step.
-    On blow-up the partial trajectory, ending at the last finite state, is
+    A non-finite connection, energy, |F|^3 integral or dissipation rate is
+    a blow-up; the partial trajectory, ending at the last finite state, is
     attached to the error.
     """
     g = a.grid
@@ -138,9 +139,12 @@ def run_heat(
 
     caloric_accum = 0.0
     diss_accum = 0.0
+    prev = None
     try:
         for k, s, state, F, last in heat_states(a, p, de_turck):
             energy, i3_k, diss_k, f_inf = diagnostics(state, F)
+            if not np.all(np.isfinite((energy, i3_k, diss_k))):
+                raise BlowUpError(f"heat flow energy not finite at s = {s:.6g}", last_state=prev)
             if observer is not None:
                 observer(k, s, state, F)
             if k > 0:
@@ -157,6 +161,7 @@ def run_heat(
             if stop:
                 traj.reached_tolerance = True
                 break
+            prev = state
     except BlowUpError as err:
         err.partial = traj
         traj.terminal = err.last_state

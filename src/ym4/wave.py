@@ -94,8 +94,8 @@ def run_wave(d: InitialDataSet, p: WaveParams) -> List[WaveState]:
     """Evolve to t_end, returning snapshots every snapshot_stride steps.
 
     Raises a blow-up signal (with the partial snapshot list attached) on
-    non-finite values or an energy-density excursion beyond 1e6 times the
-    initial peak.
+    non-finite values or an energy-density peak that is NaN or beyond 1e6
+    times the initial peak.
     """
     g = d.a.grid
     p.check_cfl(g.h)
@@ -107,7 +107,7 @@ def run_wave(d: InitialDataSet, p: WaveParams) -> List[WaveState]:
         for k, w, last in march(w, lambda w: wave_step(w, p.dt), p.dt, p.t_end):
             if k > 0 and peak0 > 0.0:
                 peak = float(np.max(energy_density(w.curvature())))
-                if peak > BLOWUP_DENSITY_FACTOR * peak0:
+                if not peak <= BLOWUP_DENSITY_FACTOR * peak0:
                     raise BlowUpError(
                         f"energy density blow-up at t = {w.t:.6g} "
                         f"(peak ratio {peak / peak0:.3e})",

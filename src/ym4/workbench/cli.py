@@ -139,6 +139,15 @@ def _write_report(outdir: Path, name: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_blowup_report(outdir: Path, err: BlowUpError, times, energies) -> None:
+    """report.json of a flow that blew up: the signal and, when the partial
+    record has samples, its first and last energy and last flow time."""
+    payload = {"blow_up": str(err)}
+    if times:
+        payload.update(last_time=times[-1], energy_initial=energies[0], energy_last=energies[-1])
+    _write_report(outdir, "report.json", payload)
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -176,12 +185,12 @@ def cmd_gen_data(args) -> int:
         "n": grid.n,
         "h": grid.h,
         "energy": gaugefield.static_energy(F),
-        "chi": gaugefield.chi(gaugefield.curvature(d.a)),
+        "chi": gaugefield.chi(F),
         "gauss_residual": float(d.constraint_residual),
     }
     if grid.boundary == "periodic":
         eps = cfg.get("diagnostics", "eps", default=0.01, cast=float)
-        report["concentration_scale"] = gaugefield.concentration_scale(d, eps)
+        report["concentration_scale"] = gaugefield.concentration_scale(d, eps, F=F)
     _write_report(outdir, "report.json", report)
     return EXIT_OK
 
@@ -189,13 +198,16 @@ def cmd_gen_data(args) -> int:
 def _input_data(args, cfg, grid, spec) -> InitialDataSet:
     if args.input:
         head, arr = _load_state(args.input, grid, spec)
-        if head.components == 8:
+        if (head.kind, head.components) == (snap.KIND_WAVE_STATE, 8):
             a = ConnectionField(grid, spec, arr[:4])
             return InitialDataSet(a, arr[4:], constraint_residual=np.nan)
-        if head.components == 4:
+        if (head.kind, head.components) == (snap.KIND_CONNECTION, 4):
             a = ConnectionField(grid, spec, arr)
             return InitialDataSet(a, np.zeros_like(arr), constraint_residual=0.0)
-        raise ConfigError(f"unsupported snapshot component count {head.components}")
+        raise ConfigError(
+            f"snapshot of kind {head.kind} with {head.components} components is "
+            "neither a connection (kind 0, 4 components) nor a wave state (kind 2, 8)"
+        )
     return build_data(cfg, grid, spec)
 
 
@@ -212,6 +224,7 @@ def cmd_heat(args) -> int:
         traj = heatflow.run_heat(d.a, p, de_turck=de_turck)
     except BlowUpError as err:
         _dump_heat_csv(outdir, err.partial)
+        _write_blowup_report(outdir, err, err.partial.s_samples, err.partial.energy_series)
         print(f"blow-up: {err}", file=sys.stderr)
         return EXIT_BLOWUP
     _dump_heat_csv(outdir, traj)
@@ -267,7 +280,8 @@ def cmd_wave(args) -> int:
     try:
         snapshots = wave.run_wave(d, p)
     except BlowUpError as err:
-        _dump_wave_csv(outdir, err.partial)
+        rows = _dump_wave_csv(outdir, err.partial)
+        _write_blowup_report(outdir, err, [row[0] for row in rows], [row[1] for row in rows])
         print(f"blow-up: {err}", file=sys.stderr)
         return EXIT_BLOWUP
     rows = _dump_wave_csv(outdir, snapshots)

@@ -140,6 +140,25 @@ def test_blow_up_attaches_partial_trajectory_ending_at_last_finite_state():
         assert np.array_equal(getattr(before, name), getattr(partial, name), equal_nan=True)
 
 
+def test_non_finite_energy_is_blow_up_with_the_last_finite_state():
+    # the connection stays finite while its curvature overflows: the energy
+    # runs 3.0e4, 5.6e16, 7.0e136 and then NaN at the third step
+    g = small_grid()
+    a = data.random_data(g, SU2, seed=1, amplitude=30.0, k_band=1).a
+    p = params(g, s_max=3 * 0.2 * g.h**2, ds=0.2 * g.h**2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(BlowUpError, match="energy not finite") as info:
+            run_heat(a, p)
+        assert caloric_size(a, p) == (np.inf, True)
+        before = run_heat(a, params(g, s_max=2 * p.ds, ds=p.ds))
+    partial = info.value.partial
+    assert partial.s_samples == [0.0, p.ds, 2 * p.ds]
+    assert np.all(np.isfinite(partial.energy_series))
+    assert partial.terminal is info.value.last_state
+    assert np.array_equal(partial.terminal.a, before.terminal.a)
+    assert partial.energy_series == before.energy_series
+
+
 def test_de_turck_energy_agrees_with_local_flow():
     # the two flows differ by a gauge motion, so the energy at matched s
     # must agree up to discretization

@@ -1,0 +1,165 @@
+"""The stencil, bracket and tension kernels equal their plain formulas bit
+for bit.
+
+The references below are the straightforward forms of each kernel: the
+np.roll stencil, the moveaxis open stencil, np.cross and the tension loop
+over pair_component.  The kernels in ym4 reorganise memory traffic but
+must round every operation exactly as these do, so the comparison is on
+the bytes, signed zeros included.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ym4 import algebra
+from ym4.gaugefield import PAIRS, ConnectionField, curvature, curvature_tension, pair_component
+from ym4.grid import Grid4
+
+SU2 = algebra.su2()
+SETTINGS = settings(max_examples=30, deadline=None)
+
+
+def roll_stencil(f, ax, h):
+    return (
+        8.0 * (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax))
+        - (np.roll(f, -2, axis=ax) - np.roll(f, 2, axis=ax))
+    ) / (12.0 * h)
+
+
+def open_stencil(f, ax, h):
+    g = np.moveaxis(f, ax, 0)
+    out = np.empty_like(g)
+    out[2:-2] = (8.0 * (g[3:-1] - g[1:-3]) - (g[4:] - g[:-4])) / (12.0 * h)
+    c0 = np.array([-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25]) / h
+    c1 = np.array([-0.25, -5.0 / 6.0, 1.5, -0.5, 1.0 / 12.0]) / h
+    out[0] = np.tensordot(c0, g[:5], axes=(0, 0))
+    out[1] = np.tensordot(c1, g[:5], axes=(0, 0))
+    out[-1] = -np.tensordot(c0, g[-5:][::-1], axes=(0, 0))
+    out[-2] = -np.tensordot(c1, g[-5:][::-1], axes=(0, 0))
+    return np.moveaxis(out, 0, ax)
+
+
+def tension_loop(a, F):
+    out = np.zeros_like(a.a)
+    for k in range(1, 5):
+        for l in range(1, 5):
+            if l == k:
+                continue
+            flk = pair_component(F.f, l, k)
+            out[k - 1] += a.grid.partial(flk, l) + algebra.bracket_arr(a.spec, a.a[l - 1], flk)
+    return out
+
+
+def curvature_formula(a):
+    g = a.grid
+    return np.stack(
+        [
+            g.partial(a.a[j - 1], i)
+            - g.partial(a.a[i - 1], j)
+            + algebra.bracket_arr(a.spec, a.a[i - 1], a.a[j - 1])
+            for i, j in PAIRS
+        ]
+    )
+
+
+def field(seed, shape, zeros, scale=1.0):
+    """Normal samples; with zeros, about a third of the entries are 0.0
+    or -0.0, so signed-zero handling shows in the bytes."""
+    rng = np.random.default_rng(seed)
+    f = scale * rng.standard_normal(shape)
+    if zeros:
+        f[rng.random(shape) < 0.2] = 0.0
+        f[rng.random(shape) < 0.1] = -0.0
+    return f
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@SETTINGS
+@given(
+    n=st.sampled_from([8, 10, 12]),
+    trailing=st.sampled_from([(), (3,), (4,)]),
+    h=st.floats(0.05, 2.0),
+    scale=st.sampled_from([1e-8, 1.0, 1e6]),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_partial_equals_roll_and_moveaxis_stencils(n, trailing, h, scale, zeros, seed):
+    f = field(seed, (n,) * 4 + trailing, zeros, scale)
+    for boundary, ref in (("periodic", roll_stencil), ("open", open_stencil)):
+        g = Grid4(n, h, boundary=boundary)
+        for j in range(1, 5):
+            got = g.partial(f, j)
+            want = ref(f, g.axis(j), h)
+            assert np.array_equal(got, want) and same_bits(got, want), (boundary, j)
+
+
+def test_partial_accepts_a_non_contiguous_field():
+    g = Grid4(8, 0.5)
+    f = field(1, (3,) + g.shape, zeros=False)
+    view = np.moveaxis(f, 0, -1)
+    for j in range(1, 5):
+        assert same_bits(g.partial(view, j), roll_stencil(view, g.axis(j), g.h))
+
+
+@SETTINGS
+@given(
+    lead=st.lists(st.integers(1, 6), min_size=0, max_size=4),
+    complex_x=st.booleans(),
+    complex_y=st.booleans(),
+    broadcast=st.sampled_from(["none", "x", "y", "both"]),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bracket_equals_np_cross(lead, complex_x, complex_y, broadcast, zeros, seed):
+    shape = tuple(lead) + (3,)
+    rng = np.random.default_rng(seed)
+
+    def arr(cplx):
+        x = field(int(rng.integers(2**32)), shape, zeros)
+        if cplx:
+            x = x + 1j * field(int(rng.integers(2**32)), shape, zeros)
+        return x
+
+    x, y = arr(complex_x), arr(complex_y)
+    # a broadcast operand has size-1 leading axes (or none at all)
+    if broadcast in ("x", "both") and lead:
+        x = x[(0,) * len(lead)]
+    if broadcast in ("y", "both") and lead:
+        y = y[(slice(0, 1),) * len(lead)]
+    got = algebra.bracket_arr(SU2, x, y)
+    want = np.cross(x, y)
+    assert np.array_equal(got, want) and same_bits(got, want)
+
+
+def test_bracket_equals_np_cross_on_a_broadcast_view():
+    # spectral.bilinear_multiplier passes np.broadcast_to of one mode
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal((8, 8, 8, 8, 3)) + 1j * rng.standard_normal((8, 8, 8, 8, 3))
+    x = np.broadcast_to(y[1, 2, 3, 4], y.shape)
+    assert same_bits(algebra.bracket_arr(SU2, x, y), np.cross(x, y))
+
+
+@SETTINGS
+@given(
+    n=st.sampled_from([8, 10]),
+    grid=st.sampled_from(["periodic", "open", "spectral"]),
+    spec=st.sampled_from(["su2", "abelian"]),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_curvature_and_tension_equal_the_pair_component_loop(n, grid, spec, zeros, seed):
+    if grid == "spectral":
+        g = Grid4(n, 0.5, deriv="spectral")
+    else:
+        g = Grid4(n, 0.5, boundary=grid)
+    spec = SU2 if spec == "su2" else algebra.abelian(3)
+    a = ConnectionField(g, spec, field(seed, (4,) + g.shape + (3,), zeros))
+    F = curvature(a)
+    assert same_bits(F.f, curvature_formula(a))
+    got = curvature_tension(a, F)
+    want = tension_loop(a, F)
+    assert np.array_equal(got, want) and same_bits(got, want)

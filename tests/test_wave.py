@@ -95,6 +95,14 @@ def test_blow_up_signal_carries_partial_history():
     assert len(err.value.partial) >= 1
 
 
+def test_nan_energy_density_peak_is_blow_up(nan_density_peak):
+    g = small_grid()
+    d = data.random_data(g, SU2, seed=2, amplitude=0.05, k_band=1)
+    with pytest.raises(BlowUpError, match="blow-up") as err:
+        run_wave(d, WaveParams(dt=0.1, t_end=0.3))
+    assert [w.t for w in err.value.partial] == [0.0]
+
+
 def test_cone_energy_monotone_in_gamma_and_guards():
     g = Grid4(16, 0.25)
     d = data.random_data(g, SU2, seed=3, amplitude=0.05, k_band=2)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ym4 import algebra, data, spectral
+from ym4 import algebra, data, gaugefield, spectral
 from ym4.gaugefield import curvature
 from ym4.grid import Grid4
 from ym4.workbench import cli
@@ -200,6 +200,89 @@ def test_cli_heat_blowup_writes_partial_csv(tmp_path, capsys):
     assert [float(row[0]) for row in rows[1:]] == [k * (0.2 * 0.5**2) for k in range(len(rows) - 1)]
     assert len(rows) >= 3  # s = 0 and at least one accepted step
     assert not (out / "terminal.ymf").exists()
+
+
+def strict_json(path):
+    """The parsed file; NaN and Infinity, which are not JSON, fail."""
+
+    def reject(token):
+        raise AssertionError(f"{path.name} holds bare {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_cli_heat_non_finite_energy_is_blow_up(tmp_path, capsys):
+    # finite connections whose curvature overflows at the third step
+    path = tmp_path / "blow.cfg"
+    path.write_text(
+        BASE_CFG.replace("seed = 7", "seed = 1")
+        .replace("amplitude = 0.05", "amplitude = 30")
+        .replace("ds_factor = 0.05", "ds_factor = 0.2")
+        .replace("s_max = 0.2", "s_max = 0.15")
+    )
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert main(["heat", str(path), "--out", str(out)]) == 4
+    assert "energy not finite" in capsys.readouterr().err
+    report = strict_json(out / "report.json")
+    assert report["last_time"] == 2 * 0.05
+    with open(out / "heat.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert report["energy_initial"] == float(rows[0][1])
+    assert report["energy_last"] == float(rows[-1][1])
+    assert len(rows) == 3 and all(np.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_cli_wave_nan_peak_is_blow_up(tmp_path, nan_density_peak):
+    out = tmp_path / "o"
+    assert main(["wave", write_cfg(tmp_path), "--out", str(out)]) == 4
+    report = strict_json(out / "report.json")
+    assert "blow-up" in report["blow_up"]
+    assert report["last_time"] == 0.0
+    assert report["energy_initial"] == report["energy_last"] > 0.0
+
+
+def test_cli_input_requires_a_connection_or_wave_state_kind(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    g = Grid4(8, 0.5)
+    four = np.zeros((4,) + g.shape + (3,))
+    eight = np.zeros((8,) + g.shape + (3,))
+    for name, arr, kind in [
+        ("electric.ymf", four, snap.KIND_ELECTRIC),
+        ("wave4.ymf", four, snap.KIND_WAVE_STATE),
+        ("conn8.ymf", eight, snap.KIND_CONNECTION),
+        ("curv.ymf", eight, snap.KIND_CURVATURE),
+    ]:
+        snap.write_snapshot(tmp_path / name, arr, g, SU2, kind)
+        argv = ["heat", cfg, "--input", str(tmp_path / name), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2, name
+        assert "neither a connection" in capsys.readouterr().err
+    snap.write_snapshot(tmp_path / "conn.ymf", four, g, SU2, snap.KIND_CONNECTION)
+    argv = ["heat", cfg, "--input", str(tmp_path / "conn.ymf"), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+
+
+def test_cli_gen_data_builds_the_curvature_once(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path)
+    real, calls = gaugefield.curvature, []
+
+    def counting(a):
+        calls.append(None)
+        return real(a)
+
+    monkeypatch.setattr(gaugefield, "curvature", counting)
+    out = tmp_path / "gen"
+    assert main(["gen-data", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # the same figures as building it for each use
+    report = json.loads((out / "report.json").read_text())
+    d = cli.build_data(cli.load_config(cfg), Grid4(8, 0.5), SU2)
+    F = curvature(d.a)
+    F.e = d.e
+    assert report["energy"] == gaugefield.static_energy(F)
+    assert report["chi"] == gaugefield.chi(curvature(d.a))
+    assert report["concentration_scale"] == gaugefield.concentration_scale(d, 0.01)
 
 
 def test_cli_malformed_group_spec_is_config_error(tmp_path, capsys):
