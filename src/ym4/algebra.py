@@ -8,14 +8,28 @@ The default group is su(2) with basis e_a = -i sigma_a / 2, for which
 [e_a, e_b] = eps_{abc} e_c and group elements are unit quaternions.
 Fields are coefficient arrays with the algebra index last; the kernels
 below act pointwise on any leading shape.
+
+The su(2) bracket runs over blocks of _BLOCK_SITES sites: its nine ufunc
+calls finish one block, whose operands stay in cache, before the next
+starts, and bracket_arr(..., acc=) adds each block into an accumulator
+with no full-size bracket temporary.  Every element sees the same
+operations in the same order, so the result does not depend on the block
+size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
+
+# sites per block of the blocked kernels (the su(2) bracket here, the flat
+# stencil pass in grid): 16384 sites of 3 float64 coefficients are 384 KiB
+# per operand, so a block's operands and temporaries fit a 2 MiB L2 cache;
+# a whole n = 24 field (8 MB per component) does not
+_BLOCK_SITES = 16384
 
 
 class AlgebraError(ValueError):
@@ -194,25 +208,48 @@ def quat_rotation_matrix(q: np.ndarray) -> np.ndarray:
 # -- vectorized algebra on coefficient arrays --------------------------------
 
 
-def bracket_arr(spec: LieGroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def bracket_arr(
+    spec: LieGroupSpec, x: np.ndarray, y: np.ndarray, acc: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Pointwise bracket of coefficient arrays (algebra axis last); the
-    leading axes broadcast."""
+    leading axes broadcast.  With acc, [x, y] is added into acc, which is
+    returned, and no full-size bracket is built."""
     if spec.is_su2:
-        return _cross3(x, y)
-    return np.einsum("...a,...b,abk->...k", x, y, spec.structure_constants)
+        return _cross3(x, y, acc)
+    b = np.einsum("...a,...b,abk->...k", x, y, spec.structure_constants)
+    if acc is None:
+        return b
+    acc += b
+    return acc
 
 
-def _cross3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _cross3(x: np.ndarray, y: np.ndarray, acc: Optional[np.ndarray] = None) -> np.ndarray:
     """np.cross(x, y) of 3-vectors, bit for bit: component k is x_i y_j minus
     x_j y_i, each product rounded, as np.cross computes it, but without its
-    copies of both inputs."""
+    copies of both inputs.  The sites run in blocks of _BLOCK_SITES rows, so
+    each block's operands stay in cache across the nine ufunc calls; with
+    acc, each block's bracket is added into acc (one rounding per element,
+    as acc += bracket would)."""
     shape = np.broadcast_shapes(x.shape, y.shape)
-    out = np.empty(shape, dtype=np.result_type(x, y))
-    tmp = np.empty(shape[:-1], dtype=out.dtype)
-    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(x[..., i], y[..., j], out=out[..., k])
-        np.multiply(x[..., j], y[..., i], out=tmp)
-        out[..., k] -= tmp
+    dtype = np.result_type(x, y)
+    out = np.empty(shape, dtype=dtype) if acc is None else acc
+    # copies only a broadcast or non-contiguous operand
+    x2 = np.broadcast_to(x, shape).reshape(-1, 3)
+    y2 = np.broadcast_to(y, shape).reshape(-1, 3)
+    o2 = out.reshape(-1, 3, copy=False)
+    tmp = np.empty(min(len(o2), _BLOCK_SITES), dtype=dtype)
+    buf = None if acc is None else np.empty((len(tmp), 3), dtype=dtype)
+    for s in range(0, len(o2), _BLOCK_SITES):
+        block = slice(s, s + _BLOCK_SITES)
+        xb, yb, ob = x2[block], y2[block], o2[block]
+        tb = tmp[: len(ob)]
+        cb = ob if buf is None else buf[: len(ob)]
+        for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.multiply(xb[:, i], yb[:, j], out=cb[:, k])
+            np.multiply(xb[:, j], yb[:, i], out=tb)
+            cb[:, k] -= tb
+        if buf is not None:
+            ob += cb
     return out
 
 

@@ -116,9 +116,7 @@ def identity_transform(grid: Grid4, spec: LieGroupSpec) -> GaugeTransformField:
 
 def covariant_derivative(a: ConnectionField, B: np.ndarray, j: int) -> np.ndarray:
     """D_j B = partial_j B + [a_j, B] for an algebra-valued field B."""
-    out = a.grid.partial(B, j)
-    out += algebra.bracket_arr(a.spec, a.a[j - 1], B)
-    return out
+    return algebra.bracket_arr(a.spec, a.a[j - 1], B, acc=a.grid.partial(B, j))
 
 
 def curvature(a: ConnectionField) -> CurvatureField:
@@ -127,7 +125,7 @@ def curvature(a: ConnectionField) -> CurvatureField:
     f = np.empty((6,) + g.shape + (a.spec.dim,))
     for k, (i, j) in enumerate(PAIRS):
         np.subtract(g.partial(a.a[j - 1], i), g.partial(a.a[i - 1], j), out=f[k])
-        f[k] += algebra.bracket_arr(a.spec, a.a[i - 1], a.a[j - 1])
+        algebra.bracket_arr(a.spec, a.a[i - 1], a.a[j - 1], acc=f[k])
     return CurvatureField(g, a.spec, f)
 
 
@@ -367,10 +365,11 @@ def _radius_ladder(grid: Grid4) -> list:
     return ladder
 
 
-def _ball_energy_max(grid: Grid4, dens: np.ndarray, r: float) -> float:
-    """max over grid centers of the sharp-ball energy integral."""
+def _ball_energy_max(grid: Grid4, dens_hat: np.ndarray, r: float) -> float:
+    """max over grid centers of the sharp-ball energy integral; dens_hat is
+    the Fourier transform of the energy density."""
     ind = (grid.radius() <= r).astype(float)
-    conv = np.real(grid.ifft(grid.fft(dens) * grid.fft(ind))) * grid.h**4
+    conv = np.real(grid.ifft(dens_hat * grid.fft(ind))) * grid.h**4
     return float(np.max(conv))
 
 
@@ -386,10 +385,10 @@ def concentration_scale(
     """
     if F is None:
         F = curvature(d.a)
-    dens = energy_density(CurvatureField(F.grid, F.spec, F.f, e=d.e))
+    dens_hat = d.a.grid.fft(energy_density(CurvatureField(F.grid, F.spec, F.f, e=d.e)))
     best = 0.0
     for r in _radius_ladder(d.a.grid):
-        if _ball_energy_max(d.a.grid, dens, r) <= threshold:
+        if _ball_energy_max(d.a.grid, dens_hat, r) <= threshold:
             best = r
     return best
 
@@ -400,8 +399,9 @@ def outer_concentration_radius(d: InitialDataSet, eps: float) -> float:
     F.e = d.e
     dens = energy_density(F)
     total = d.a.grid.integrate(dens)
+    dens_hat = d.a.grid.fft(dens)
     for r in _radius_ladder(d.a.grid):
-        if _ball_energy_max(d.a.grid, dens, r) >= total - eps:
+        if _ball_energy_max(d.a.grid, dens_hat, r) >= total - eps:
             return r
     return d.a.grid.extent / 4.0
 

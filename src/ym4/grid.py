@@ -7,12 +7,16 @@ trailing axis.  Coordinates run over [-L/2, L/2) with L = n*h.
 
 Derivative backends:
   - "stencil4": fourth-order central differences (default).  The central
-    formula (8 (f[+1] - f[-1]) - (f[+2] - f[-2])) / (12 h) runs once over the
+    formula (8 (f[+1] - f[-1]) - (f[+2] - f[-2])) / (12 h) runs over the
     flat array, where a shift of one plane along any axis is a contiguous
     slice, into one output buffer; only the two planes at each face are
-    then recomputed, wrapped (periodic) or one-sided (open).  Each site
-    sees the same operations in the same order as the textbook form, so
-    results do not depend on this layout.
+    then recomputed, wrapped (periodic) or one-sided (open).  The flat pass
+    runs in blocks of algebra._BLOCK_SITES sites, so a block's four shifted
+    operands, its temporary and its output stay in cache across the four
+    ufunc calls.  The face fix-ups are not blocked: the one-sided
+    tensordot's BLAS rounding depends on the operand layout it is given.
+    Each site sees the same operations in the same order as the textbook
+    form, so results do not depend on this layout or the block size.
   - "spectral": exact i*kappa Fourier symbol with the Nyquist mode zeroed;
     used by the small-grid symbol checks where stencil symbols are not
     additive across frequency pairs.
@@ -31,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+
+from . import algebra
 
 # scipy.fft worker count is pinned so reductions and transforms are
 # bitwise reproducible regardless of the requested thread budget
@@ -172,15 +178,21 @@ class Grid4:
         # two planes of either face get wrong neighbours here and are
         # overwritten below
         plane, m = math.prod(f.shape[ax + 1 :]), f.shape[ax]
-        flat, size = f.reshape(-1), f.size
-        _stencil4(
-            flat[3 * plane : size - plane],
-            flat[plane : size - 3 * plane],
-            flat[4 * plane :],
-            flat[: size - 4 * plane],
-            12.0 * self.h,
-            out.reshape(-1)[2 * plane : size - 2 * plane],
-        )
+        flat, oflat = f.reshape(-1), out.reshape(-1)
+        # output element 2 plane + s reads f at s, s + plane, s + 3 plane and
+        # s + 4 plane; the pass runs in blocks of _BLOCK_SITES sites
+        block = algebra._BLOCK_SITES * math.prod(f.shape[4:])
+        inner = f.size - 4 * plane
+        for s in range(0, inner, block):
+            e = min(s + block, inner)
+            _stencil4(
+                flat[s + 3 * plane : e + 3 * plane],
+                flat[s + plane : e + plane],
+                flat[s + 4 * plane : e + 4 * plane],
+                flat[s:e],
+                12.0 * self.h,
+                oflat[s + 2 * plane : e + 2 * plane],
+            )
         f3, o3 = f.reshape(-1, m, plane), out.reshape(-1, m, plane)
         if self.boundary == "periodic":
             # planes -4 .. 3 give the wrapped outputs at planes -2, -1, 0, 1

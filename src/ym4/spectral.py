@@ -116,15 +116,21 @@ def lp_block_sups(
     F: CurvatureField, blocks: Optional[LPBlockSet] = None, k_lo: Optional[int] = None
 ) -> list:
     """[(k, 2^{-2k} |P_k F|_Linf)] for every block k >= k_lo (all blocks when
-    k_lo is None), with the pointwise inner-product norm; each of those
-    windows is applied once."""
+    k_lo is None), with the pointwise inner-product norm; each component is
+    transformed once and each of those windows is applied once, as
+    lp_project would apply it."""
     if blocks is None:
         blocks = make_blocks(F.grid)
     k_lo = blocks.k_min if k_lo is None else max(k_lo, blocks.k_min)
+    g = blocks.grid
     stack = _component_stack(F)
+    stack_hat = [g.fft(c) for c in stack]
+    block = np.empty_like(stack)
     rows = []
     for k in range(k_lo, blocks.k_max + 1):
-        block = lp_project(blocks, stack, k)
+        w = blocks.window(k)[..., None]
+        for c, c_hat in enumerate(stack_hat):
+            block[c] = np.real(g.ifft(c_hat * w))
         pointwise = np.sqrt(np.einsum("c...a,c...a->...", block, block))
         rows.append((k, 2.0 ** (-2 * k) * float(np.max(pointwise))))
     return rows

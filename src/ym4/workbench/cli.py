@@ -304,7 +304,7 @@ def cmd_wave(args) -> int:
 
 def _dump_wave_csv(outdir: Path, snapshots) -> list:
     """Write wave.csv; returns its (t, energy, gauss_residual) rows."""
-    rows = [(w.t, w.energy(), w.gauss_residual) for w in snapshots]
+    rows = [(w.t, w.energy, w.gauss_residual) for w in snapshots]
     _write_csv(outdir / "wave.csv", ["t [len]", "energy [1]", "gauss_residual [1/len^3]"], rows)
     return rows
 

@@ -4,7 +4,8 @@ Layout (little endian):
   magic "YMF1" (4 bytes) | version u16 | group id u16 | n u32 | h f64 |
   kind u8 | component count u8 | time f64 | CRC32 of the preceding bytes u32
 followed by the payload: f64 array, site-major with index order
-(x4 slowest, x3, x2, x1, form index, algebra index).
+(x4 slowest, x3, x2, x1, form index, algebra index).  Nothing follows the
+payload; a file with trailing bytes is rejected.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ def read_snapshot(path):
         raw = fh.read(count * 8)
         if len(raw) != count * 8:
             raise SnapshotError("truncated payload")
+        if fh.read(1):
+            raise SnapshotError("trailing bytes after the payload")
     data = np.frombuffer(raw, dtype="<f8").reshape((n, n, n, n, comps, spec.dim))
     arr = np.ascontiguousarray(np.moveaxis(data, 4, 0)).astype(float)
     return SnapshotHeader(gid, n, h, kind, comps, time), arr

@@ -210,7 +210,7 @@ def test_criterion_6_wave_evolution():
     d = data.random_data(g, SU2, seed=2, amplitude=3e-4, k_band=1, window=False)
     scale = g.l2norm(d.e) + g.l2norm(d.a.a)
     snaps = run_wave(d, WaveParams(dt=dt, t_end=2.0, snapshot_stride=8))
-    energies = [w.energy() for w in snaps]
+    energies = [w.energy for w in snaps]
     e_dev = max(abs(e - energies[0]) for e in energies) / energies[0]
     gauss = max(w.gauss_residual for w in snaps) / scale
 

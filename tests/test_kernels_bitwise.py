@@ -6,18 +6,40 @@ np.roll stencil, the moveaxis open stencil, np.cross and the tension loop
 over pair_component.  The kernels in ym4 reorganise memory traffic but
 must round every operation exactly as these do, so the comparison is on
 the bytes, signed zeros included.
+
+The bracket and the flat stencil pass run over blocks of
+algebra._BLOCK_SITES sites.  Every test here but the last shrinks the
+block to 7 sites, so each field crosses many block boundaries and ends on
+a ragged block; the last runs at the real block size on an n = 24 grid.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ym4 import algebra
-from ym4.gaugefield import PAIRS, ConnectionField, curvature, curvature_tension, pair_component
+from ym4.gaugefield import (
+    PAIRS,
+    ConnectionField,
+    covariant_derivative,
+    curvature,
+    curvature_tension,
+    pair_component,
+)
 from ym4.grid import Grid4
 
 SU2 = algebra.su2()
-SETTINGS = settings(max_examples=30, deadline=None)
+BLOCK_SITES = algebra._BLOCK_SITES
+# the block size is patched once per test and is the same for every example
+SETTINGS = settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@pytest.fixture(autouse=True)
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(algebra, "_BLOCK_SITES", 7)
 
 
 def roll_stencil(f, ax, h):
@@ -40,14 +62,30 @@ def open_stencil(f, ax, h):
     return np.moveaxis(out, 0, ax)
 
 
+def ref_partial(g, f, j):
+    if g.deriv == "spectral":
+        return g.partial(f, j)  # not blocked
+    ref = roll_stencil if g.boundary == "periodic" else open_stencil
+    return ref(f, g.axis(j), g.h)
+
+
+def ref_bracket(spec, x, y):
+    if spec.is_su2:
+        return np.cross(x, y)
+    return np.einsum("...a,...b,abk->...k", x, y, spec.structure_constants)
+
+
+def ref_covariant_derivative(a, B, j):
+    return ref_partial(a.grid, B, j) + ref_bracket(a.spec, a.a[j - 1], B)
+
+
 def tension_loop(a, F):
     out = np.zeros_like(a.a)
     for k in range(1, 5):
         for l in range(1, 5):
             if l == k:
                 continue
-            flk = pair_component(F.f, l, k)
-            out[k - 1] += a.grid.partial(flk, l) + algebra.bracket_arr(a.spec, a.a[l - 1], flk)
+            out[k - 1] += ref_covariant_derivative(a, pair_component(F.f, l, k), l)
     return out
 
 
@@ -55,9 +93,9 @@ def curvature_formula(a):
     g = a.grid
     return np.stack(
         [
-            g.partial(a.a[j - 1], i)
-            - g.partial(a.a[i - 1], j)
-            + algebra.bracket_arr(a.spec, a.a[i - 1], a.a[j - 1])
+            ref_partial(g, a.a[j - 1], i)
+            - ref_partial(g, a.a[i - 1], j)
+            + ref_bracket(a.spec, a.a[i - 1], a.a[j - 1])
             for i, j in PAIRS
         ]
     )
@@ -111,27 +149,39 @@ def test_partial_accepts_a_non_contiguous_field():
     complex_x=st.booleans(),
     complex_y=st.booleans(),
     broadcast=st.sampled_from(["none", "x", "y", "both"]),
+    strided=st.booleans(),
+    into=st.booleans(),
     zeros=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_bracket_equals_np_cross(lead, complex_x, complex_y, broadcast, zeros, seed):
+def test_bracket_equals_np_cross(lead, complex_x, complex_y, broadcast, strided, into, zeros, seed):
     shape = tuple(lead) + (3,)
     rng = np.random.default_rng(seed)
 
-    def arr(cplx):
+    def arr(cplx, shape=shape):
         x = field(int(rng.integers(2**32)), shape, zeros)
         if cplx:
             x = x + 1j * field(int(rng.integers(2**32)), shape, zeros)
         return x
 
     x, y = arr(complex_x), arr(complex_y)
+    if strided:
+        # a non-contiguous operand: the algebra axis moved last from first
+        x = np.moveaxis(arr(complex_x, (3,) + tuple(lead)), 0, -1)
     # a broadcast operand has size-1 leading axes (or none at all)
     if broadcast in ("x", "both") and lead:
         x = x[(0,) * len(lead)]
     if broadcast in ("y", "both") and lead:
         y = y[(slice(0, 1),) * len(lead)]
-    got = algebra.bracket_arr(SU2, x, y)
-    want = np.cross(x, y)
+    if into:
+        # added into an accumulator of the broadcast shape, in place
+        acc = arr(complex_x or complex_y, np.broadcast_shapes(x.shape, y.shape))
+        want = acc + np.cross(x, y)
+        got = algebra.bracket_arr(SU2, x, y, acc=acc)
+        assert got is acc
+    else:
+        got = algebra.bracket_arr(SU2, x, y)
+        want = np.cross(x, y)
     assert np.array_equal(got, want) and same_bits(got, want)
 
 
@@ -158,8 +208,28 @@ def test_curvature_and_tension_equal_the_pair_component_loop(n, grid, spec, zero
         g = Grid4(n, 0.5, boundary=grid)
     spec = SU2 if spec == "su2" else algebra.abelian(3)
     a = ConnectionField(g, spec, field(seed, (4,) + g.shape + (3,), zeros))
+    assert_kernels_match_references(a, field(seed + 1, g.shape + (3,), zeros))
+
+
+def assert_kernels_match_references(a, B):
+    g = a.grid
+    for j in range(1, 5):
+        assert same_bits(g.partial(B, j), ref_partial(g, B, j)), j
+        assert same_bits(covariant_derivative(a, B, j), ref_covariant_derivative(a, B, j)), j
+        acc = ref_partial(g, B, j)
+        want = acc + ref_bracket(a.spec, a.a[j - 1], B)
+        assert same_bits(algebra.bracket_arr(a.spec, a.a[j - 1], B, acc=acc), want), j
     F = curvature(a)
     assert same_bits(F.f, curvature_formula(a))
     got = curvature_tension(a, F)
     want = tension_loop(a, F)
     assert np.array_equal(got, want) and same_bits(got, want)
+
+
+def test_kernels_at_the_real_block_size_on_an_open_n24_grid(monkeypatch):
+    # 24^4 sites are 20.25 blocks of 16384: many full blocks and a ragged one
+    monkeypatch.setattr(algebra, "_BLOCK_SITES", BLOCK_SITES)
+    g = Grid4(24, 0.25, boundary="open")
+    a = ConnectionField(g, SU2, field(5, (4,) + g.shape + (3,), zeros=True))
+    assert g.shape[0] ** 4 % BLOCK_SITES
+    assert_kernels_match_references(a, field(6, g.shape + (3,), zeros=True))

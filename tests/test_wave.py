@@ -63,8 +63,8 @@ def test_energy_conservation_and_gauss_drift():
     d = data.random_data(g, SU2, seed=1, amplitude=0.05, k_band=1)
     # leapfrog conserves a shadow energy offset by O((dt/h)^2); keep dt small
     snaps = run_wave(d, WaveParams(dt=0.04, t_end=1.0))
-    e0 = snaps[0].energy()
-    e1 = snaps[-1].energy()
+    e0 = snaps[0].energy
+    e1 = snaps[-1].energy
     assert abs(e1 - e0) <= 5e-3 * e0
     # the Gauss residual picks up the discrete-Leibniz defect, which is
     # quadratic in the amplitude and independent of dt

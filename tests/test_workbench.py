@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ym4 import algebra, data, gaugefield, spectral
-from ym4.gaugefield import curvature
+from ym4 import algebra, data, gaugefield, spectral, wave
+from ym4.gaugefield import ConnectionField, curvature
 from ym4.grid import Grid4
 from ym4.workbench import cli
 from ym4.workbench import snapshot as snap
@@ -96,6 +96,9 @@ def test_snapshot_corruption_detected(tmp_path):
     (tmp_path / "short.ymf").write_bytes(path.read_bytes()[:-16])
     with pytest.raises(snap.SnapshotError):
         snap.read_snapshot(tmp_path / "short.ymf")
+    (tmp_path / "long.ymf").write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(snap.SnapshotError, match="trailing bytes"):
+        snap.read_snapshot(tmp_path / "long.ymf")
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -260,6 +263,48 @@ def test_cli_input_requires_a_connection_or_wave_state_kind(tmp_path, capsys):
     snap.write_snapshot(tmp_path / "conn.ymf", four, g, SU2, snap.KIND_CONNECTION)
     argv = ["heat", cfg, "--input", str(tmp_path / "conn.ymf"), "--out", str(tmp_path / "o")]
     assert main(argv) == 0
+
+
+def test_cli_input_with_trailing_bytes_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    g = Grid4(8, 0.5)
+    path = tmp_path / "conn.ymf"
+    snap.write_snapshot(path, np.zeros((4,) + g.shape + (3,)), g, SU2, snap.KIND_CONNECTION)
+    path.write_bytes(path.read_bytes() + b"junk")
+    assert main(["wave", cfg, "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "trailing bytes" in capsys.readouterr().err
+
+
+def test_cli_wave_takes_its_energies_from_the_step_loop(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path)
+    real_curvature, real_run_wave = gaugefield.curvature, wave.run_wave
+    returned, late = [], []
+
+    def counting(a):
+        if returned:
+            late.append(None)
+        return real_curvature(a)
+
+    def run_wave(d, p):
+        out = real_run_wave(d, p)
+        returned.append(None)
+        return out
+
+    for module in (gaugefield, wave):
+        monkeypatch.setattr(module, "curvature", counting)
+    monkeypatch.setattr(wave, "run_wave", run_wave)
+    out = tmp_path / "wave"
+    assert main(["wave", cfg, "--out", str(out)]) == 0
+    assert returned and not late
+    monkeypatch.undo()
+    # the last row's energy is the final state's, built afresh
+    with open(out / "wave.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    head, arr = snap.read_snapshot(out / "final.ymf")
+    F = curvature(ConnectionField(Grid4(8, 0.5), SU2, arr[:4]))
+    F.e = arr[4:]
+    assert float(rows[-1][1]) == Grid4(8, 0.5).integrate(gaugefield.energy_density(F))
+    assert len(rows) == 5
 
 
 def test_cli_gen_data_builds_the_curvature_once(tmp_path, monkeypatch):
