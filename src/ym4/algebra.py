@@ -12,16 +12,22 @@ below act pointwise on any leading shape.
 The su(2) bracket runs over blocks of _BLOCK_SITES sites: its nine ufunc
 calls finish one block, whose operands stay in cache, before the next
 starts, and bracket_arr(..., acc=) adds each block into an accumulator
-with no full-size bracket temporary.  Every element sees the same
-operations in the same order, so the result does not depend on the block
-size.
+with no full-size bracket temporary.  run_blocks spreads the blocks of a
+large enough call over one thread per usable CPU; numpy releases the
+interpreter lock inside each ufunc call, so the blocks run in parallel.
+A block's elements are written by one thread only and see the same
+operations in the same order whichever thread runs it, so the result
+depends neither on the block size nor on the thread count or the order in
+which the blocks finish.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -30,6 +36,57 @@ import numpy as np
 # per operand, so a block's operands and temporaries fit a 2 MiB L2 cache;
 # a whole n = 24 field (8 MB per component) does not
 _BLOCK_SITES = 16384
+
+# threads that run the blocks of one kernel call: the caller plus
+# _WORKERS - 1 pool threads, one per usable CPU
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+# a thread joins a call only for each this many blocks' worth of sites the
+# call covers: handing work to a pool thread costs about as much as a block
+# on a small host, so an n = 16 field (4 blocks) ran slower on two threads
+# and an n = 20 field (10 blocks) faster
+_BLOCKS_PER_THREAD = 4
+_pool: Optional[ThreadPoolExecutor] = None
+
+
+def _drop_pool() -> None:
+    # a forked child has none of the parent's pool threads; a pool carried
+    # over would queue work that never runs
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def run_blocks(n_blocks: int, work: Callable[[Iterator[int]], None], sites: int) -> None:
+    """Run work(blocks) on the calling thread and on pool threads, all
+    drawing from one iterator over range(n_blocks), so each block index is
+    handled exactly once, by whichever thread is free (next on a range
+    iterator is atomic under the interpreter lock).  The call covers sites
+    sites; it runs on one thread per _BLOCKS_PER_THREAD * _BLOCK_SITES of
+    them, but on no more threads than _WORKERS or n_blocks.  work must
+    write disjoint elements for different indices and call no public ym4
+    function, so that every kernel call stays on the calling thread.
+    Returns, or re-raises the first error, only after every call has
+    returned, so no thread writes into an output after the kernel has."""
+    global _pool
+    blocks = iter(range(n_blocks))
+    helpers = min(_WORKERS, n_blocks, sites // (_BLOCKS_PER_THREAD * _BLOCK_SITES)) - 1
+    if helpers < 1:
+        work(blocks)
+        return
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="ym4-blocks")
+    futures = [_pool.submit(work, blocks) for _ in range(helpers)]
+    try:
+        work(blocks)
+    finally:
+        wait(futures)
+    for fut in futures:
+        fut.result()
 
 
 class AlgebraError(ValueError):
@@ -226,10 +283,10 @@ def bracket_arr(
 def _cross3(x: np.ndarray, y: np.ndarray, acc: Optional[np.ndarray] = None) -> np.ndarray:
     """np.cross(x, y) of 3-vectors, bit for bit: component k is x_i y_j minus
     x_j y_i, each product rounded, as np.cross computes it, but without its
-    copies of both inputs.  The sites run in blocks of _BLOCK_SITES rows, so
-    each block's operands stay in cache across the nine ufunc calls; with
-    acc, each block's bracket is added into acc (one rounding per element,
-    as acc += bracket would)."""
+    copies of both inputs.  The sites run in blocks of _BLOCK_SITES rows,
+    spread by run_blocks, so each block's operands stay in cache across the
+    nine ufunc calls; with acc, each block's bracket is added into acc (one
+    rounding per element, as acc += bracket would)."""
     shape = np.broadcast_shapes(x.shape, y.shape)
     dtype = np.result_type(x, y)
     out = np.empty(shape, dtype=dtype) if acc is None else acc
@@ -237,19 +294,26 @@ def _cross3(x: np.ndarray, y: np.ndarray, acc: Optional[np.ndarray] = None) -> n
     x2 = np.broadcast_to(x, shape).reshape(-1, 3)
     y2 = np.broadcast_to(y, shape).reshape(-1, 3)
     o2 = out.reshape(-1, 3, copy=False)
-    tmp = np.empty(min(len(o2), _BLOCK_SITES), dtype=dtype)
-    buf = None if acc is None else np.empty((len(tmp), 3), dtype=dtype)
-    for s in range(0, len(o2), _BLOCK_SITES):
-        block = slice(s, s + _BLOCK_SITES)
-        xb, yb, ob = x2[block], y2[block], o2[block]
-        tb = tmp[: len(ob)]
-        cb = ob if buf is None else buf[: len(ob)]
-        for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            np.multiply(xb[:, i], yb[:, j], out=cb[:, k])
-            np.multiply(xb[:, j], yb[:, i], out=tb)
-            cb[:, k] -= tb
-        if buf is not None:
-            ob += cb
+    step = _BLOCK_SITES
+    rows = min(len(o2), step)
+
+    def work(blocks):
+        # one temporary (and accumulation buffer) per thread
+        tmp = np.empty(rows, dtype=dtype)
+        buf = None if acc is None else np.empty((rows, 3), dtype=dtype)
+        for b in blocks:
+            block = slice(b * step, (b + 1) * step)
+            xb, yb, ob = x2[block], y2[block], o2[block]
+            tb = tmp[: len(ob)]
+            cb = ob if buf is None else buf[: len(ob)]
+            for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                np.multiply(xb[:, i], yb[:, j], out=cb[:, k])
+                np.multiply(xb[:, j], yb[:, i], out=tb)
+                cb[:, k] -= tb
+            if buf is not None:
+                ob += cb
+
+    run_blocks(-(-len(o2) // step), work, len(o2))
     return out
 
 

@@ -13,10 +13,15 @@ Derivative backends:
     then recomputed, wrapped (periodic) or one-sided (open).  The flat pass
     runs in blocks of algebra._BLOCK_SITES sites, so a block's four shifted
     operands, its temporary and its output stay in cache across the four
-    ufunc calls.  The face fix-ups are not blocked: the one-sided
-    tensordot's BLAS rounding depends on the operand layout it is given.
-    Each site sees the same operations in the same order as the textbook
-    form, so results do not depend on this layout or the block size.
+    ufunc calls; algebra.run_blocks spreads the blocks of a large field
+    over one thread per usable CPU.  The open faces are fixed up only after
+    the whole flat pass, which writes face sites of the other axes, as two
+    work items (low face, high face) on the same threads; they are not
+    blocked, since the one-sided tensordot's BLAS rounding depends on the
+    operand layout it is given.  Each site is written by one thread and
+    sees the same operations in the same order as the textbook form, so
+    results do not depend on this layout, the block size or the thread
+    count.
   - "spectral": exact i*kappa Fourier symbol with the Nyquist mode zeroed;
     used by the small-grid symbol checks where stencil symbols are not
     additive across frequency pairs.
@@ -181,18 +186,24 @@ class Grid4:
         flat, oflat = f.reshape(-1), out.reshape(-1)
         # output element 2 plane + s reads f at s, s + plane, s + 3 plane and
         # s + 4 plane; the pass runs in blocks of _BLOCK_SITES sites
-        block = algebra._BLOCK_SITES * math.prod(f.shape[4:])
+        per_site = math.prod(f.shape[4:])
+        step = algebra._BLOCK_SITES * per_site
         inner = f.size - 4 * plane
-        for s in range(0, inner, block):
-            e = min(s + block, inner)
-            _stencil4(
-                flat[s + 3 * plane : e + 3 * plane],
-                flat[s + plane : e + plane],
-                flat[s + 4 * plane : e + 4 * plane],
-                flat[s:e],
-                12.0 * self.h,
-                oflat[s + 2 * plane : e + 2 * plane],
-            )
+
+        def flat_pass(blocks):
+            for b in blocks:
+                s = b * step
+                e = min(s + step, inner)
+                _stencil4(
+                    flat[s + 3 * plane : e + 3 * plane],
+                    flat[s + plane : e + plane],
+                    flat[s + 4 * plane : e + 4 * plane],
+                    flat[s:e],
+                    12.0 * self.h,
+                    oflat[s + 2 * plane : e + 2 * plane],
+                )
+
+        algebra.run_blocks(-(-inner // step), flat_pass, inner // per_site)
         f3, o3 = f.reshape(-1, m, plane), out.reshape(-1, m, plane)
         if self.boundary == "periodic":
             # planes -4 .. 3 give the wrapped outputs at planes -2, -1, 0, 1
@@ -200,16 +211,24 @@ class Grid4:
             wrapped = _stencil4(ring[:, 3:7], ring[:, 1:5], ring[:, 4:], ring[:, :4], 12.0 * self.h)
             o3[:, -2:], o3[:, :2] = wrapped[:, :2], wrapped[:, 2:]
         else:
-            # one-sided stencils on the five planes at each face, each block
-            # gathered plane-major, as tensordot would gather it
-            lo = np.ascontiguousarray(f3[:, :5].transpose(1, 0, 2))
-            hi = np.ascontiguousarray(f3[:, :-6:-1].transpose(1, 0, 2))
+            # one-sided stencils on the five planes at each face, each face
+            # gathered plane-major, as tensordot would gather it; the low
+            # and the high face are two work items over ten planes of sites
             c0 = np.array([-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25]) / self.h
             c1 = np.array([-0.25, -5.0 / 6.0, 1.5, -0.5, 1.0 / 12.0]) / self.h
-            o3[:, 0] = np.tensordot(c0, lo, axes=(0, 0))
-            o3[:, 1] = np.tensordot(c1, lo, axes=(0, 0))
-            o3[:, -1] = -np.tensordot(c0, hi, axes=(0, 0))
-            o3[:, -2] = -np.tensordot(c1, hi, axes=(0, 0))
+
+            def faces(sides):
+                for high in sides:
+                    if high:
+                        hi = np.ascontiguousarray(f3[:, :-6:-1].transpose(1, 0, 2))
+                        o3[:, -1] = -np.tensordot(c0, hi, axes=(0, 0))
+                        o3[:, -2] = -np.tensordot(c1, hi, axes=(0, 0))
+                    else:
+                        lo = np.ascontiguousarray(f3[:, :5].transpose(1, 0, 2))
+                        o3[:, 0] = np.tensordot(c0, lo, axes=(0, 0))
+                        o3[:, 1] = np.tensordot(c1, lo, axes=(0, 0))
+
+            algebra.run_blocks(2, faces, 10 * f.size // (m * per_site))
         return out
 
     def divergence(self, v: np.ndarray) -> np.ndarray:

@@ -67,20 +67,16 @@ class WaveState:
         return F
 
 
-def wave_acceleration(a: ConnectionField) -> np.ndarray:
-    """dtt A_j = D^k F_{kj}."""
-    return curvature_tension(a)
-
-
 def _gauss(a: ConnectionField, adot: np.ndarray) -> float:
     return a.grid.l2norm(covariant_divergence(a, adot))
 
 
 def wave_step(w: WaveState, dt: float) -> WaveState:
-    """One kick-drift-kick leapfrog step (time-reversible)."""
-    half = w.adot + 0.5 * dt * wave_acceleration(w.a)
+    """One kick-drift-kick leapfrog step (time-reversible); the acceleration
+    dtt A_j = D^k F_{kj} is the curvature tension."""
+    half = w.adot + 0.5 * dt * curvature_tension(w.a)
     a_new = ConnectionField(w.a.grid, w.a.spec, w.a.a + dt * half)
-    adot_new = half + 0.5 * dt * wave_acceleration(a_new)
+    adot_new = half + 0.5 * dt * curvature_tension(a_new)
     if not (np.all(np.isfinite(a_new.a)) and np.all(np.isfinite(adot_new))):
         raise BlowUpError("wave step produced non-finite values", last_state=w)
     out = WaveState(w.t + dt, a_new, adot_new)

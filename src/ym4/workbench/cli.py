@@ -3,8 +3,12 @@ flows, and diagnostics.
 
 Exit codes: 0 ok, 2 configuration error, 3 invariant violation,
 4 blow-up signal.  The environment variable YM4_THREADS is accepted and
-recorded in reports, but all reductions and transforms run in a fixed
-deterministic configuration, so outputs are bitwise independent of it.
+recorded in reports, but ym4 does not read it for computation.  The
+blocked stencil and su(2) bracket kernels run on one thread per usable CPU,
+recorded in reports as kernel_threads, and each site is computed by one
+thread in a fixed order; FFTs run on one worker and BLAS threading is left
+as it is.  So every .csv and .ymf output is bitwise independent of both
+thread counts.
 """
 
 from __future__ import annotations
@@ -134,6 +138,7 @@ def _write_resolved(cfg: ExperimentConfig, outdir: Path) -> None:
 def _write_report(outdir: Path, name: str, payload: dict) -> None:
     payload = dict(payload)
     payload["threads_env"] = os.environ.get("YM4_THREADS", "")
+    payload["kernel_threads"] = algebra._WORKERS
     with open(outdir / name, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,5 +1,10 @@
 """Unit tests for the Lie algebra / group kernel."""
 
+import multiprocessing
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -199,3 +204,113 @@ def test_bracket_arr_matches_structure_constants():
     via_cross = algebra.bracket_arr(SU2, x, y)
     via_table = np.einsum("...a,...b,abk->...k", x, y, SU2.structure_constants)
     assert np.max(np.abs(via_cross - via_table)) <= 1e-13
+
+
+# -- run_blocks: the threads of the blocked kernels ----------------------------
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets the kernel thread count; the next kernel call builds a fresh
+    pool of that size."""
+
+    def use(n):
+        monkeypatch.setattr(algebra, "_WORKERS", n)
+        monkeypatch.setattr(algebra, "_pool", None)
+
+    return use
+
+
+# threads that run work, by thread count and number of full blocks: one
+# for each _BLOCKS_PER_THREAD = 4 blocks, at least one, up to the count
+THREADS_USED = {1: {0: 1, 1: 1, 2: 1, 7: 1, 8: 1, 50: 1}, 3: {0: 1, 1: 1, 2: 1, 7: 1, 8: 2, 50: 3}}
+
+
+@pytest.mark.parametrize("n_workers", [1, 3])
+@pytest.mark.parametrize("n_blocks", [0, 1, 2, 7, 8, 50])
+def test_run_blocks_runs_every_block_exactly_once(workers, n_workers, n_blocks):
+    workers(n_workers)
+    seen, calls = [], []
+
+    def work(blocks):
+        calls.append(None)
+        for b in blocks:
+            time.sleep(0.0005)  # the other threads draw meanwhile
+            seen.append(b)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        algebra.run_blocks(n_blocks, work, n_blocks * algebra._BLOCK_SITES)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == list(range(n_blocks))
+    assert len(calls) == THREADS_USED[n_workers][n_blocks]
+
+
+def test_run_blocks_runs_no_more_threads_than_blocks(workers):
+    # two large work items, such as the two open faces of a big field
+    workers(3)
+    calls = []
+    algebra.run_blocks(2, lambda blocks: calls.append(list(blocks)), 50 * algebra._BLOCK_SITES)
+    assert len(calls) == 2 and sorted(sum(calls, [])) == [0, 1]
+
+
+def test_run_blocks_runs_on_the_caller_and_the_pool_at_once(workers):
+    workers(3)
+    # each thread holds its first block until all three hold one, which
+    # times out unless three threads run work at the same time
+    barrier = threading.Barrier(3, timeout=30)
+    ran = {}
+
+    def work(blocks):
+        for i, b in enumerate(blocks):
+            if i == 0:
+                barrier.wait()
+            ran[b] = threading.current_thread()
+
+    algebra.run_blocks(50, work, 50 * algebra._BLOCK_SITES)
+    assert sorted(ran) == list(range(50))
+    assert len(set(ran.values())) == 3 and threading.current_thread() in ran.values()
+
+
+@pytest.mark.parametrize("raiser", ["caller", "pool"])
+def test_run_blocks_raises_only_after_every_call_returns(workers, raiser):
+    workers(3)
+    caller, lock = threading.current_thread(), threading.Lock()
+    raised, returned = [], []
+
+    def work(blocks):
+        with lock:
+            first = not any(raised) and (threading.current_thread() is caller) == (
+                raiser == "caller"
+            )
+            raised.append(first)
+        if first:
+            raise RuntimeError("block failed")
+        time.sleep(0.2)
+        returned.append(None)
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        algebra.run_blocks(50, work, 50 * algebra._BLOCK_SITES)
+    assert len(returned) == 2
+
+
+def _bracket_at_n24():
+    x = np.random.default_rng(0).standard_normal((24,) * 4 + (3,))
+    algebra.bracket_arr(SU2, x, x)
+
+
+def test_a_forked_child_runs_the_blocked_kernels(workers):
+    workers(3)
+    _bracket_at_n24()
+    assert algebra._pool is not None
+    child = multiprocessing.get_context("fork").Process(target=_bracket_at_n24)
+    child.start()
+    child.join(timeout=60)
+    try:
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()

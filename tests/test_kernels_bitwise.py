@@ -8,9 +8,12 @@ must round every operation exactly as these do, so the comparison is on
 the bytes, signed zeros included.
 
 The bracket and the flat stencil pass run over blocks of
-algebra._BLOCK_SITES sites.  Every test here but the last shrinks the
-block to 7 sites, so each field crosses many block boundaries and ends on
-a ragged block; the last runs at the real block size on an n = 24 grid.
+algebra._BLOCK_SITES sites, spread over algebra._WORKERS threads.  Every
+test here but the last shrinks the block to 7 sites, so each field crosses
+many block boundaries and ends on a ragged block, and compares each kernel
+run on the calling thread alone and on three threads, more than the CPUs
+of a small host, so blocks finish out of order; the last runs at the real
+block size and the default thread count on an n = 24 grid.
 """
 
 import numpy as np
@@ -40,6 +43,20 @@ SETTINGS = settings(
 @pytest.fixture(autouse=True)
 def small_blocks(monkeypatch):
     monkeypatch.setattr(algebra, "_BLOCK_SITES", 7)
+
+
+@pytest.fixture
+def thread_counts(monkeypatch):
+    """Iterates over the thread counts 1 and 3, the kernels running on that
+    many threads, from a fresh pool, during each iteration."""
+
+    def counts():
+        for workers in (1, 3):
+            monkeypatch.setattr(algebra, "_WORKERS", workers)
+            monkeypatch.setattr(algebra, "_pool", None)
+            yield workers
+
+    return counts
 
 
 def roll_stencil(f, ax, h):
@@ -125,22 +142,26 @@ def same_bits(x, y):
     zeros=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_partial_equals_roll_and_moveaxis_stencils(n, trailing, h, scale, zeros, seed):
+def test_partial_equals_roll_and_moveaxis_stencils(
+    thread_counts, n, trailing, h, scale, zeros, seed
+):
     f = field(seed, (n,) * 4 + trailing, zeros, scale)
     for boundary, ref in (("periodic", roll_stencil), ("open", open_stencil)):
         g = Grid4(n, h, boundary=boundary)
         for j in range(1, 5):
-            got = g.partial(f, j)
             want = ref(f, g.axis(j), h)
-            assert np.array_equal(got, want) and same_bits(got, want), (boundary, j)
+            for workers in thread_counts():
+                got = g.partial(f, j)
+                assert np.array_equal(got, want) and same_bits(got, want), (boundary, j, workers)
 
 
-def test_partial_accepts_a_non_contiguous_field():
+def test_partial_accepts_a_non_contiguous_field(thread_counts):
     g = Grid4(8, 0.5)
     f = field(1, (3,) + g.shape, zeros=False)
     view = np.moveaxis(f, 0, -1)
-    for j in range(1, 5):
-        assert same_bits(g.partial(view, j), roll_stencil(view, g.axis(j), g.h))
+    for workers in thread_counts():
+        for j in range(1, 5):
+            assert same_bits(g.partial(view, j), roll_stencil(view, g.axis(j), g.h)), workers
 
 
 @SETTINGS
@@ -154,7 +175,9 @@ def test_partial_accepts_a_non_contiguous_field():
     zeros=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_bracket_equals_np_cross(lead, complex_x, complex_y, broadcast, strided, into, zeros, seed):
+def test_bracket_equals_np_cross(
+    thread_counts, lead, complex_x, complex_y, broadcast, strided, into, zeros, seed
+):
     shape = tuple(lead) + (3,)
     rng = np.random.default_rng(seed)
 
@@ -173,24 +196,28 @@ def test_bracket_equals_np_cross(lead, complex_x, complex_y, broadcast, strided,
         x = x[(0,) * len(lead)]
     if broadcast in ("y", "both") and lead:
         y = y[(slice(0, 1),) * len(lead)]
+    want = np.cross(x, y)
     if into:
         # added into an accumulator of the broadcast shape, in place
-        acc = arr(complex_x or complex_y, np.broadcast_shapes(x.shape, y.shape))
-        want = acc + np.cross(x, y)
-        got = algebra.bracket_arr(SU2, x, y, acc=acc)
-        assert got is acc
-    else:
-        got = algebra.bracket_arr(SU2, x, y)
-        want = np.cross(x, y)
-    assert np.array_equal(got, want) and same_bits(got, want)
+        acc0 = arr(complex_x or complex_y, np.broadcast_shapes(x.shape, y.shape))
+        want = acc0 + want
+    for workers in thread_counts():
+        if into:
+            acc = acc0.copy()
+            got = algebra.bracket_arr(SU2, x, y, acc=acc)
+            assert got is acc
+        else:
+            got = algebra.bracket_arr(SU2, x, y)
+        assert np.array_equal(got, want) and same_bits(got, want), workers
 
 
-def test_bracket_equals_np_cross_on_a_broadcast_view():
+def test_bracket_equals_np_cross_on_a_broadcast_view(thread_counts):
     # spectral.bilinear_multiplier passes np.broadcast_to of one mode
     rng = np.random.default_rng(3)
     y = rng.standard_normal((8, 8, 8, 8, 3)) + 1j * rng.standard_normal((8, 8, 8, 8, 3))
     x = np.broadcast_to(y[1, 2, 3, 4], y.shape)
-    assert same_bits(algebra.bracket_arr(SU2, x, y), np.cross(x, y))
+    for workers in thread_counts():
+        assert same_bits(algebra.bracket_arr(SU2, x, y), np.cross(x, y)), workers
 
 
 @SETTINGS
@@ -201,14 +228,17 @@ def test_bracket_equals_np_cross_on_a_broadcast_view():
     zeros=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_curvature_and_tension_equal_the_pair_component_loop(n, grid, spec, zeros, seed):
+def test_curvature_and_tension_equal_the_pair_component_loop(
+    thread_counts, n, grid, spec, zeros, seed
+):
     if grid == "spectral":
         g = Grid4(n, 0.5, deriv="spectral")
     else:
         g = Grid4(n, 0.5, boundary=grid)
     spec = SU2 if spec == "su2" else algebra.abelian(3)
     a = ConnectionField(g, spec, field(seed, (4,) + g.shape + (3,), zeros))
-    assert_kernels_match_references(a, field(seed + 1, g.shape + (3,), zeros))
+    for _ in thread_counts():
+        assert_kernels_match_references(a, field(seed + 1, g.shape + (3,), zeros))
 
 
 def assert_kernels_match_references(a, B):

@@ -134,6 +134,7 @@ def test_cli_gen_data_and_heat_and_wave(tmp_path):
     assert main(["gen-data", cfg, "--out", str(out1)]) == 0
     report = json.loads((out1 / "report.json").read_text())
     assert report["gauss_residual"] <= 1e-8
+    assert report["kernel_threads"] == algebra._WORKERS
     assert (out1 / "data.ymf").exists()
     assert (out1 / "config.resolved").exists()
 
