@@ -15,4 +15,12 @@ class BlowUpError(RuntimeError):
 
 
 class InvariantError(RuntimeError):
-    """Raised when a declared invariant check fails at runtime."""
+    """Raised when a declared invariant check fails at runtime.
+
+    Carries the report its raiser had assembled before the check, so callers
+    can record the figures that failed it.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report or {}

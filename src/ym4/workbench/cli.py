@@ -1,14 +1,23 @@
 """Command-line workbench: one binary, subcommands for data generation,
 flows, and diagnostics.
 
-Exit codes: 0 ok, 2 configuration error, 3 invariant violation,
-4 blow-up signal.  The environment variable YM4_THREADS is accepted and
-recorded in reports, but ym4 does not read it for computation.  The
-blocked stencil and su(2) bracket kernels run on one thread per usable CPU,
-recorded in reports as kernel_threads, and each site is computed by one
-thread in a fixed order; FFTs run on one worker and BLAS threading is left
-as it is.  So every .csv and .ymf output is bitwise independent of both
-thread counts.
+Each subcommand but regress runs in one frame.  It loads the config, builds
+the grid, group, input data and flow parameters, and only then makes the
+output directory, so a rejected config, input or parameter leaves none.  The
+subcommand writes its .csv and .ymf files, and the frame writes report.json.
+
+Exit codes: 0 ok, 2 configuration error (among them a number that is not
+finite and a vector of the wrong length), 3 invariant violation, 4 blow-up
+signal.  On exit 3 or 4 once the output directory exists, report.json
+carries the message under invariant_violation or blow_up; after a blow-up
+the flow's CSV holds the rows it sampled before the signal.
+
+The environment variable YM4_THREADS is accepted and recorded in reports,
+but ym4 does not read it for computation.  The blocked stencil and su(2)
+bracket kernels run on one thread per usable CPU, recorded in reports as
+kernel_threads, and each site is computed by one thread in a fixed order;
+FFTs run on one worker and BLAS threading is left as it is.  So every .csv
+and .ymf output is bitwise independent of both thread counts.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .. import algebra, data, gaugefield, heatflow, morawetz, spectral, tangent,
 from ..errors import BlowUpError, InvariantError
 from ..gaugefield import ConnectionField, FieldError, InitialDataSet
 from ..grid import Grid4, GridError
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, positive_float
 from . import snapshot as snap
 
 EXIT_OK = 0
@@ -78,7 +87,7 @@ def build_data(cfg: ExperimentConfig, grid: Grid4, spec) -> InitialDataSet:
         a = data.bpst(
             grid,
             spec,
-            center=cfg.get_floats("data", "center", default=(0.0, 0.0, 0.0, 0.0)),
+            center=cfg.get_floats("data", "center", default=(0.0, 0.0, 0.0, 0.0), length=4),
             lam=cfg.get("data", "lambda", default=1.0, cast=float),
             orientation=cfg.get("data", "orientation", default=1, cast=int),
         )
@@ -135,22 +144,13 @@ def _write_resolved(cfg: ExperimentConfig, outdir: Path) -> None:
     (outdir / "config.resolved").write_text(cfg.source_text)
 
 
-def _write_report(outdir: Path, name: str, payload: dict) -> None:
+def _write_report(outdir: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["threads_env"] = os.environ.get("YM4_THREADS", "")
     payload["kernel_threads"] = algebra._WORKERS
-    with open(outdir / name, "w") as fh:
+    with open(outdir / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_blowup_report(outdir: Path, err: BlowUpError, times, energies) -> None:
-    """report.json of a flow that blew up: the signal and, when the partial
-    record has samples, its first and last energy and last flow time."""
-    payload = {"blow_up": str(err)}
-    if times:
-        payload.update(last_time=times[-1], energy_initial=energies[0], energy_last=energies[-1])
-    _write_report(outdir, "report.json", payload)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -158,6 +158,37 @@ def _write_csv(path: Path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _dump_heat_csv(outdir: Path, traj) -> list:
+    """Write heat.csv; returns its (s, energy, ...) rows."""
+    rows = list(
+        zip(
+            traj.s_samples,
+            traj.energy_series,
+            traj.tension_l2_series,
+            traj.caloric_size_series,
+            traj.dissipation_series,
+        )
+    )
+    _write_csv(
+        outdir / "heat.csv",
+        ["s [len^2]", "energy [1]", "tension_l2 [1/len]", "caloric_size [1]", "dissipation [1]"],
+        rows,
+    )
+    return rows
+
+
+def _dump_wave_csv(outdir: Path, snapshots) -> list:
+    """Write wave.csv; returns its (t, energy, gauss_residual) rows."""
+    rows = [(w.t, w.energy, w.gauss_residual) for w in snapshots]
+    _write_csv(outdir / "wave.csv", ["t [len]", "energy [1]", "gauss_residual [1/len^3]"], rows)
+    return rows
+
+
+def _write_wave_state(path: Path, a: ConnectionField, e, t: float) -> None:
+    state = np.concatenate([a.a, e], axis=0)
+    snap.write_snapshot(path, state, a.grid, a.spec, snap.KIND_WAVE_STATE, t)
 
 
 def _load_state(path, grid: Grid4, spec):
@@ -172,18 +203,77 @@ def _load_state(path, grid: Grid4, spec):
     return head, arr
 
 
-# -- subcommands -------------------------------------------------------------
+def _input_data(args, cfg, grid, spec) -> InitialDataSet:
+    """The --input snapshot, or the config's [data] when there is none."""
+    path = getattr(args, "input", None)
+    if path is None:
+        return build_data(cfg, grid, spec)
+    head, arr = _load_state(path, grid, spec)
+    if (head.kind, head.components) == (snap.KIND_WAVE_STATE, 8):
+        a = ConnectionField(grid, spec, arr[:4])
+        return InitialDataSet(a, arr[4:], constraint_residual=np.nan)
+    if (head.kind, head.components) == (snap.KIND_CONNECTION, 4):
+        a = ConnectionField(grid, spec, arr)
+        return InitialDataSet(a, np.zeros_like(arr), constraint_residual=0.0)
+    raise ConfigError(
+        f"snapshot of kind {head.kind} with {head.components} components is "
+        "neither a connection (kind 0, 4 components) nor a wave state (kind 2, 8)"
+    )
 
 
-def cmd_gen_data(args) -> int:
+# -- the command frame -------------------------------------------------------
+
+
+def _frame(args) -> int:
+    """Run one subcommand: resolve its inputs, make the output directory,
+    call its body and write report.json.
+
+    Everything that can reject the config, the input or the flow parameters
+    runs before the output directory exists.  Once it exists, a blow-up or
+    an invariant violation still leaves a report.json with the message, and
+    a blow-up the CSV rows its flow sampled before the signal.
+    """
     cfg = load_config(args.config)
     grid = build_grid(cfg)
     spec = build_spec(cfg)
-    d = build_data(cfg, grid, spec)
+    d = _input_data(args, cfg, grid, spec)
+    p = args.params(cfg, grid) if args.params else None
     outdir = _outdir(cfg, args)
     _write_resolved(cfg, outdir)
-    state = np.concatenate([d.a.a, d.e], axis=0)
-    snap.write_snapshot(outdir / "data.ymf", state, grid, spec, snap.KIND_WAVE_STATE, 0.0)
+    report = None
+    try:
+        report = args.body(cfg, grid, spec, d, p, outdir)
+    except BlowUpError as err:
+        rows = []
+        if isinstance(err.partial, heatflow.HeatTrajectory):
+            rows = _dump_heat_csv(outdir, err.partial)
+        elif err.partial is not None:
+            rows = _dump_wave_csv(outdir, err.partial)
+        report = {"blow_up": str(err)}
+        if rows:
+            report.update(last_time=rows[-1][0], energy_initial=rows[0][1], energy_last=rows[-1][1])
+        raise
+    except (InvariantError, FieldError) as err:
+        report = {**getattr(err, "report", {}), "invariant_violation": str(err)}
+        raise
+    finally:
+        if report is not None:
+            _write_report(outdir, report)
+    return EXIT_OK
+
+
+# -- subcommand bodies -------------------------------------------------------
+#
+# A body takes the config and what the frame resolved from it: the grid, the
+# group, the input data, the flow parameters (or None) and the output
+# directory.  It writes its own .csv and .ymf files and returns its report.
+# It signals exit 3 by raising InvariantError, with its report, once its
+# files are written.
+
+
+def cmd_gen_data(cfg, grid, spec, d, p, outdir) -> dict:
+    eps = cfg.get("diagnostics", "eps", default=0.01, cast=positive_float)
+    _write_wave_state(outdir / "data.ymf", d.a, d.e, 0.0)
     F = gaugefield.curvature(d.a)
     F.e = d.e
     report = {
@@ -194,44 +284,13 @@ def cmd_gen_data(args) -> int:
         "gauss_residual": float(d.constraint_residual),
     }
     if grid.boundary == "periodic":
-        eps = cfg.get("diagnostics", "eps", default=0.01, cast=float)
         report["concentration_scale"] = gaugefield.concentration_scale(d, eps, F=F)
-    _write_report(outdir, "report.json", report)
-    return EXIT_OK
+    return report
 
 
-def _input_data(args, cfg, grid, spec) -> InitialDataSet:
-    if args.input:
-        head, arr = _load_state(args.input, grid, spec)
-        if (head.kind, head.components) == (snap.KIND_WAVE_STATE, 8):
-            a = ConnectionField(grid, spec, arr[:4])
-            return InitialDataSet(a, arr[4:], constraint_residual=np.nan)
-        if (head.kind, head.components) == (snap.KIND_CONNECTION, 4):
-            a = ConnectionField(grid, spec, arr)
-            return InitialDataSet(a, np.zeros_like(arr), constraint_residual=0.0)
-        raise ConfigError(
-            f"snapshot of kind {head.kind} with {head.components} components is "
-            "neither a connection (kind 0, 4 components) nor a wave state (kind 2, 8)"
-        )
-    return build_data(cfg, grid, spec)
-
-
-def cmd_heat(args) -> int:
-    cfg = load_config(args.config)
-    grid = build_grid(cfg)
-    spec = build_spec(cfg)
-    d = _input_data(args, cfg, grid, spec)
-    p = build_heat_params(cfg, grid)
-    outdir = _outdir(cfg, args)
-    _write_resolved(cfg, outdir)
+def cmd_heat(cfg, grid, spec, d, p, outdir) -> dict:
     de_turck = cfg.get_bool("heat", "de_turck", default=False)
-    try:
-        traj = heatflow.run_heat(d.a, p, de_turck=de_turck)
-    except BlowUpError as err:
-        _dump_heat_csv(outdir, err.partial)
-        _write_blowup_report(outdir, err, err.partial.s_samples, err.partial.energy_series)
-        print(f"blow-up: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
+    traj = heatflow.run_heat(d.a, p, de_turck=de_turck)
     _dump_heat_csv(outdir, traj)
     snap.write_snapshot(
         outdir / "terminal.ymf",
@@ -241,168 +300,81 @@ def cmd_heat(args) -> int:
         snap.KIND_CONNECTION,
         traj.s_samples[-1],
     )
-    _write_report(
-        outdir,
-        "report.json",
-        {
-            "energy_initial": traj.energy_series[0],
-            "energy_final": traj.energy_series[-1],
-            "caloric_size": traj.caloric_size_accum,
-            "dissipation": traj.dissipation_accum,
-            "reached_tolerance": traj.reached_tolerance,
-            "tail_flagged": traj.tail_flagged,
-        },
-    )
+    report = {
+        "energy_initial": traj.energy_series[0],
+        "energy_final": traj.energy_series[-1],
+        "caloric_size": traj.caloric_size_accum,
+        "dissipation": traj.dissipation_accum,
+        "reached_tolerance": traj.reached_tolerance,
+        "tail_flagged": traj.tail_flagged,
+    }
     drops = np.diff(np.asarray(traj.energy_series))
     if np.any(drops > 1e-10 * max(traj.energy_series[0], 1e-300)):
-        print("invariant violation: energy increased along the heat flow", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+        raise InvariantError("energy increased along the heat flow", report)
+    return report
 
 
-def _dump_heat_csv(outdir: Path, traj) -> None:
-    _write_csv(
-        outdir / "heat.csv",
-        ["s [len^2]", "energy [1]", "tension_l2 [1/len]", "caloric_size [1]", "dissipation [1]"],
-        zip(
-            traj.s_samples,
-            traj.energy_series,
-            traj.tension_l2_series,
-            traj.caloric_size_series,
-            traj.dissipation_series,
-        ),
-    )
-
-
-def cmd_wave(args) -> int:
-    cfg = load_config(args.config)
-    grid = build_grid(cfg)
-    spec = build_spec(cfg)
-    d = _input_data(args, cfg, grid, spec)
-    p = build_wave_params(cfg, grid)
-    outdir = _outdir(cfg, args)
-    _write_resolved(cfg, outdir)
-    try:
-        snapshots = wave.run_wave(d, p)
-    except BlowUpError as err:
-        rows = _dump_wave_csv(outdir, err.partial)
-        _write_blowup_report(outdir, err, [row[0] for row in rows], [row[1] for row in rows])
-        print(f"blow-up: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
+def cmd_wave(cfg, grid, spec, d, p, outdir) -> dict:
+    snapshots = wave.run_wave(d, p)
     rows = _dump_wave_csv(outdir, snapshots)
     last = snapshots[-1]
-    state = np.concatenate([last.a.a, last.adot], axis=0)
-    snap.write_snapshot(outdir / "final.ymf", state, grid, spec, snap.KIND_WAVE_STATE, last.t)
-    _write_report(
-        outdir,
-        "report.json",
-        {
-            "t_final": last.t,
-            "steps": int(round(last.t / p.dt)),
-            "energy_initial": rows[0][1],
-            "energy_final": rows[-1][1],
-            "gauss_residual_max": max(row[2] for row in rows),
-        },
-    )
-    return EXIT_OK
+    _write_wave_state(outdir / "final.ymf", last.a, last.adot, last.t)
+    return {
+        "t_final": last.t,
+        "steps": int(round(last.t / p.dt)),
+        "energy_initial": rows[0][1],
+        "energy_final": rows[-1][1],
+        "gauss_residual_max": max(row[2] for row in rows),
+    }
 
 
-def _dump_wave_csv(outdir: Path, snapshots) -> list:
-    """Write wave.csv; returns its (t, energy, gauss_residual) rows."""
-    rows = [(w.t, w.energy, w.gauss_residual) for w in snapshots]
-    _write_csv(outdir / "wave.csv", ["t [len]", "energy [1]", "gauss_residual [1/len^3]"], rows)
-    return rows
-
-
-def cmd_caloric(args) -> int:
-    cfg = load_config(args.config)
-    grid = build_grid(cfg)
-    spec = build_spec(cfg)
-    d = _input_data(args, cfg, grid, spec)
-    p = build_heat_params(cfg, grid)
-    outdir = _outdir(cfg, args)
-    _write_resolved(cfg, outdir)
+def cmd_caloric(cfg, grid, spec, d, p, outdir) -> dict:
     a_cal, O, traj = heatflow.caloric_project(d.a, p)
     snap.write_snapshot(outdir / "caloric.ymf", a_cal.a, grid, spec, snap.KIND_CONNECTION, 0.0)
     div_norm, a_sq = heatflow.caloric_divergence(a_cal)
     retraj = heatflow.run_heat(a_cal, p)
-    _write_report(
-        outdir,
-        "report.json",
-        {
-            "divergence_l2": div_norm,
-            "amplitude_sq": a_sq,
-            "reflow_terminal_l2": grid.l2norm(retraj.terminal.a),
-            "initial_l2": grid.l2norm(a_cal.a),
-        },
-    )
-    return EXIT_OK
+    return {
+        "divergence_l2": div_norm,
+        "amplitude_sq": a_sq,
+        "reflow_terminal_l2": grid.l2norm(retraj.terminal.a),
+        "initial_l2": grid.l2norm(a_cal.a),
+    }
 
 
-def cmd_div_curl(args) -> int:
-    cfg = load_config(args.config)
-    grid = build_grid(cfg)
-    spec = build_spec(cfg)
-    d = _input_data(args, cfg, grid, spec)
-    p = build_heat_params(cfg, grid)
-    outdir = _outdir(cfg, args)
-    _write_resolved(cfg, outdir)
+def cmd_div_curl(cfg, grid, spec, d, p, outdir) -> dict:
     cal = tangent.div_curl_decompose(d.a, d.e, p)
     snap.write_snapshot(outdir / "tangent_b.ymf", cal.b.b, grid, spec, snap.KIND_ELECTRIC, 0.0)
     snap.write_snapshot(outdir / "a0.ymf", cal.a0[None], grid, spec, snap.KIND_SCALARSET, 0.0)
     recon = np.empty_like(d.e)
     for j in range(1, 5):
         recon[j - 1] = cal.b.b[j - 1] - gaugefield.covariant_derivative(d.a, cal.a0, j)
-    _write_report(
-        outdir,
-        "report.json",
-        {
-            "tangent_residual": cal.b.tangent_residual,
-            "reconstruction_residual": grid.l2norm(recon - d.e),
-            "tail_flagged": cal.tail_flagged,
-        },
-    )
-    return EXIT_OK
+    return {
+        "tangent_residual": cal.b.tangent_residual,
+        "reconstruction_residual": grid.l2norm(recon - d.e),
+        "tail_flagged": cal.tail_flagged,
+    }
 
 
-def cmd_ed_norm(args) -> int:
-    cfg = load_config(args.config)
-    grid = build_grid(cfg)
-    spec = build_spec(cfg)
-    d = _input_data(args, cfg, grid, spec)
-    outdir = _outdir(cfg, args)
-    _write_resolved(cfg, outdir)
+def cmd_ed_norm(cfg, grid, spec, d, p, outdir) -> dict:
     F = gaugefield.curvature(d.a)
     blocks = spectral.make_blocks(grid)
     rows = spectral.lp_block_sups(F, blocks)
     _write_csv(outdir / "ed.csv", ["k [dyadic]", "weighted_block_sup [1/len^2]"], rows)
     m = cfg.get("diagnostics", "ed_truncation", default=blocks.k_min, cast=int)
-    _write_report(
-        outdir,
-        "report.json",
-        {
-            "ed_norm": spectral.sup_above(rows, -np.inf),
-            "ed_norm_truncated": spectral.sup_above(rows, m),
-            "truncation_index": m,
-        },
-    )
-    return EXIT_OK
+    return {
+        "ed_norm": spectral.sup_above(rows, -np.inf),
+        "ed_norm_truncated": spectral.sup_above(rows, m),
+        "truncation_index": m,
+    }
 
 
-def cmd_morawetz(args) -> int:
-    cfg = load_config(args.config)
-    grid = build_grid(cfg)
-    spec = build_spec(cfg)
-    d = _input_data(args, cfg, grid, spec)
-    p = build_wave_params(cfg, grid)
-    outdir = _outdir(cfg, args)
-    _write_resolved(cfg, outdir)
-    eps = cfg.get("diagnostics", "eps", default=1.0, cast=float)
-    vertex = cfg.get_floats("diagnostics", "vertex", default=(0.0, 0.0, 0.0, 0.0, 0.0))
+def cmd_morawetz(cfg, grid, spec, d, p, outdir) -> dict:
+    eps = cfg.get("diagnostics", "eps", default=1.0, cast=positive_float)
+    vertex = cfg.get_floats("diagnostics", "vertex", default=(0.0, 0.0, 0.0, 0.0, 0.0), length=5)
     t1 = cfg.get("diagnostics", "t1", cast=float)
     t2 = cfg.get("diagnostics", "t2", cast=float)
     snapshots = wave.run_wave(d, p)
-    report = morawetz.morawetz_identity_residual(snapshots, vertex, eps, t1, t2)
+    m = morawetz.morawetz_identity_residual(snapshots, vertex, eps, t1, t2)
     _write_csv(
         outdir / "morawetz.csv",
         [
@@ -415,73 +387,63 @@ def cmd_morawetz(args) -> int:
         ],
         [
             (
-                report.t,
-                report.eps,
-                report.weighted_energy,
-                report.interior_dissipation_accum,
-                report.boundary_term,
-                report.identity_residual,
+                m.t,
+                m.eps,
+                m.weighted_energy,
+                m.interior_dissipation_accum,
+                m.boundary_term,
+                m.identity_residual,
             )
         ],
     )
-    _write_report(
-        outdir,
-        "report.json",
-        {
-            "weighted_energy_start": report.weighted_energy_start,
-            "weighted_energy_end": report.weighted_energy,
-            "dissipation": report.interior_dissipation_accum,
-            "boundary": report.boundary_term,
-            "identity_residual": report.identity_residual,
-        },
-    )
-    if report.interior_dissipation_accum < 0:
-        print("invariant violation: negative interior dissipation", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    report = {
+        "weighted_energy_start": m.weighted_energy_start,
+        "weighted_energy_end": m.weighted_energy,
+        "dissipation": m.interior_dissipation_accum,
+        "boundary": m.boundary_term,
+        "identity_residual": m.identity_residual,
+    }
+    if m.interior_dissipation_accum < 0:
+        raise InvariantError("negative interior dissipation", report)
+    return report
 
 
 def cmd_regress(args) -> int:
     """Run the fixed miniature battery; compare or update golden outputs."""
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    battery = _regress_battery(workdir)
+    names = _regress_battery(workdir)
     if args.golden:
         golden = Path(args.golden)
         if args.update:
             golden.mkdir(parents=True, exist_ok=True)
-            for name, path in battery:
-                (golden / name).write_bytes(path.read_bytes())
+            for name in names:
+                (golden / name).write_bytes((workdir / name).read_bytes())
             return EXIT_OK
-        for name, path in battery:
+        for name in names:
             ref = golden / name
             if not ref.exists():
                 print(f"golden file missing: {name}", file=sys.stderr)
                 return EXIT_INVARIANT
-            if ref.read_bytes() != path.read_bytes():
+            if ref.read_bytes() != (workdir / name).read_bytes():
                 print(f"golden mismatch: {name}", file=sys.stderr)
                 return EXIT_INVARIANT
     return EXIT_OK
 
 
-def _regress_battery(workdir: Path):
-    """Small deterministic end-to-end runs; returns (name, path) pairs."""
+def _regress_battery(workdir: Path) -> list:
+    """Small deterministic end-to-end runs; returns the names of the files
+    they write to workdir."""
     grid = Grid4(n=8, h=0.5)
-    spec = algebra.su2()
-    d = data.random_data(grid, spec, seed=7, amplitude=0.05, k_band=1)
+    d = data.random_data(grid, algebra.su2(), seed=7, amplitude=0.05, k_band=1)
     p = heatflow.HeatParams(ds=0.02 * grid.h**2, s_max=0.2)
     traj = heatflow.run_heat(d.a, p)
     _dump_heat_csv(workdir, traj)
     wp = wave.WaveParams(dt=0.25 * grid.h, t_end=0.5)
     snaps = wave.run_wave(d, wp)
     _dump_wave_csv(workdir, snaps)
-    state = np.concatenate([snaps[-1].a.a, snaps[-1].adot], axis=0)
-    snap.write_snapshot(workdir / "final.ymf", state, grid, spec, snap.KIND_WAVE_STATE, snaps[-1].t)
-    return [
-        ("heat.csv", workdir / "heat.csv"),
-        ("wave.csv", workdir / "wave.csv"),
-        ("final.ymf", workdir / "final.ymf"),
-    ]
+    _write_wave_state(workdir / "final.ymf", snaps[-1].a, snaps[-1].adot, snaps[-1].t)
+    return ["heat.csv", "wave.csv", "final.ymf"]
 
 
 # -- entry point -------------------------------------------------------------
@@ -490,21 +452,21 @@ def _regress_battery(workdir: Path):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ym4", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_input in [
-        ("gen-data", cmd_gen_data, False),
-        ("heat", cmd_heat, True),
-        ("wave", cmd_wave, True),
-        ("caloric", cmd_caloric, True),
-        ("div-curl", cmd_div_curl, True),
-        ("ed-norm", cmd_ed_norm, True),
-        ("morawetz", cmd_morawetz, True),
+    for name, body, params, needs_input in [
+        ("gen-data", cmd_gen_data, None, False),
+        ("heat", cmd_heat, build_heat_params, True),
+        ("wave", cmd_wave, build_wave_params, True),
+        ("caloric", cmd_caloric, build_heat_params, True),
+        ("div-curl", cmd_div_curl, build_heat_params, True),
+        ("ed-norm", cmd_ed_norm, None, True),
+        ("morawetz", cmd_morawetz, build_wave_params, True),
     ]:
         sp = sub.add_parser(name)
         sp.add_argument("config")
         sp.add_argument("--out", default=None)
         if needs_input:
             sp.add_argument("--input", default=None, help="input snapshot file")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=_frame, body=body, params=params)
     rp = sub.add_parser("regress")
     rp.add_argument("workdir")
     rp.add_argument("--golden", default=None)

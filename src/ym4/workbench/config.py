@@ -7,6 +7,7 @@ sections or keys are rejected with the offending line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -45,26 +46,32 @@ class ExperimentConfig:
     source_text: str = ""
 
     def get(self, section: str, key: str, default=None, cast=str):
-        val = self.sections.get(section, {}).get(key)
-        if val is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r} in [{section}]")
-            return default
-        try:
-            return cast(val)
-        except ValueError as err:
-            raise ConfigError(f"bad value for [{section}] {key}: {val!r}") from err
+        """[section] key through cast, or default when the key is absent.
 
-    def get_floats(self, section: str, key: str, default=None):
+        A value cast rejects, or a cast float that is not finite, is a
+        ConfigError.
+        """
         val = self.sections.get(section, {}).get(key)
         if val is None:
             if default is None:
                 raise ConfigError(f"missing required key {key!r} in [{section}]")
             return default
         try:
-            return tuple(float(tok) for tok in val.replace(",", " ").split())
+            out = cast(val)
         except ValueError as err:
             raise ConfigError(f"bad value for [{section}] {key}: {val!r}") from err
+        numbers = out if isinstance(out, tuple) else (out,)
+        if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
+            raise ConfigError(f"[{section}] {key} is not finite: {val!r}")
+        return out
+
+    def get_floats(self, section: str, key: str, default=None, length=None):
+        """A vector of finite floats, separated by commas or blanks; a value
+        of other than length numbers, when length is given, is a ConfigError."""
+        vals = self.get(section, key, default, cast=_floats)
+        if length is not None and len(vals) != length:
+            raise ConfigError(f"[{section}] {key} takes {length} numbers, got {len(vals)}")
+        return vals
 
     def get_bool(self, section: str, key: str, default: bool = False) -> bool:
         val = self.sections.get(section, {}).get(key)
@@ -76,6 +83,18 @@ class ExperimentConfig:
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"bad boolean for [{section}] {key}: {val!r}")
+
+
+def _floats(val: str) -> tuple:
+    return tuple(float(tok) for tok in val.replace(",", " ").split())
+
+
+def positive_float(val: str) -> float:
+    """A cast for ExperimentConfig.get that rejects a number <= 0."""
+    x = float(val)
+    if x <= 0.0:
+        raise ValueError(f"{val!r} is not positive")
+    return x
 
 
 def parse_config(text: str) -> ExperimentConfig:

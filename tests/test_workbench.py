@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ym4 import algebra, data, gaugefield, spectral, wave
+from ym4 import algebra, data, gaugefield, heatflow, spectral, wave
 from ym4.gaugefield import ConnectionField, curvature
 from ym4.grid import Grid4
 from ym4.workbench import cli
@@ -166,10 +166,7 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["gen-data", str(worse), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_cli_blowup_exit_code(tmp_path):
-    cfg = tmp_path / "blow.cfg"
-    cfg.write_text(
-        """
+WAVE_BLOWUP_CFG = """
 [grid]
 n = 8
 h = 0.5
@@ -182,9 +179,28 @@ k_band = 1
 cfl = 0.2
 t_end = 4.0
 """
-    )
+
+
+def test_cli_blowup_exit_code(tmp_path):
+    cfg = tmp_path / "blow.cfg"
+    cfg.write_text(WAVE_BLOWUP_CFG)
     code = main(["wave", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 4
+
+
+def test_cli_morawetz_blowup_writes_report(tmp_path, capsys):
+    cfg = tmp_path / "blow.cfg"
+    cfg.write_text(WAVE_BLOWUP_CFG + "[diagnostics]\nt1 = 0\nt2 = 4\n")
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert main(["morawetz", str(cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("blow-up: ")
+    report = strict_json(out / "report.json")
+    with open(out / "wave.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert report["blow_up"] and report["last_time"] == float(rows[-1][0])
+    assert report["energy_initial"] == float(rows[0][1])
+    assert not (out / "morawetz.csv").exists()
 
 
 def test_cli_heat_blowup_writes_partial_csv(tmp_path, capsys):
@@ -384,6 +400,92 @@ def test_cli_bad_flow_parameters_are_config_errors(tmp_path, capsys, command, ol
     assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and reason in err
+
+
+MORAWETZ_DIAGNOSTICS = """[diagnostics]
+eps = 0.5
+vertex = -0.25, 0, 0, 0, 0
+t1 = 0
+t2 = 0.5
+"""
+
+
+@pytest.mark.parametrize(
+    "command", ["gen-data", "heat", "wave", "caloric", "div-curl", "ed-norm", "morawetz"]
+)
+def test_cli_every_subcommand_writes_its_record(tmp_path, command):
+    text = BASE_CFG + MORAWETZ_DIAGNOSTICS
+    if command == "caloric":  # the flow must reach a flat connection
+        text = text.replace("s_max = 0.2", "s_max = 0.3")
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main([command, str(path), "--out", str(out)]) == 0
+    assert (out / "config.resolved").read_text() == text
+    report = strict_json(out / "report.json")
+    assert report["kernel_threads"] == algebra._WORKERS
+    assert report["threads_env"] == os.environ.get("YM4_THREADS", "")
+
+
+def test_cli_rejected_parameter_leaves_no_output_directory(tmp_path):
+    path = tmp_path / "exp.cfg"
+    out = tmp_path / "o"
+    for command, old, new in [
+        ("heat", "ds_factor = 0.05", "ds_factor = 0.5"),
+        ("morawetz", "cfl = 0.25", "cfl = 0.5"),
+        ("gen-data", "k_band = 1", "k_band = x"),
+    ]:
+        path.write_text(BASE_CFG.replace(old, new))
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def _no_flow(*args, **kwargs):
+    raise AssertionError("a flow ran on a rejected config")
+
+
+@pytest.mark.parametrize(
+    "command, old, new, reason",
+    [
+        ("gen-data", "amplitude = 0.05", "amplitude = nan", "amplitude is not finite"),
+        ("heat", "s_max = 0.2", "s_max = inf", "s_max is not finite"),
+        ("gen-data", "kind = random", "kind = bpst\ncenter = 0, 0, inf, 0", "not finite"),
+        ("gen-data", "kind = random", "kind = bpst\ncenter = 0, 0, 0", "takes 4 numbers"),
+        ("morawetz", "[wave]", "[diagnostics]\nt1 = 0\nt2 = 0.5\nvertex = -1, 0, 0\n[wave]", "takes 5"),
+        ("morawetz", "[wave]", "[diagnostics]\nt1 = 0\nt2 = 0.5\neps = -1\n[wave]", "eps"),
+        ("gen-data", "[wave]", "[diagnostics]\neps = -1\n[wave]", "eps"),
+        ("gen-data", "[wave]", "[diagnostics]\neps = nan\n[wave]", "eps"),
+    ],
+)
+def test_cli_bad_config_numbers_are_config_errors(
+    tmp_path, capsys, monkeypatch, command, old, new, reason
+):
+    for module, flow in [(wave, "run_wave"), (heatflow, "run_heat")]:
+        monkeypatch.setattr(module, flow, _no_flow)
+    path = tmp_path / "exp.cfg"
+    path.write_text(BASE_CFG.replace(old, new))
+    assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and reason in err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_cli_heat_energy_rise_is_invariant_violation(tmp_path, capsys, monkeypatch):
+    real = heatflow.run_heat
+
+    def rising(a, p, de_turck=False):
+        traj = real(a, p, de_turck=de_turck)
+        traj.energy_series[-1] = 2.0 * traj.energy_series[0]
+        return traj
+
+    monkeypatch.setattr(heatflow, "run_heat", rising)
+    out = tmp_path / "o"
+    assert main(["heat", write_cfg(tmp_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "invariant violation: energy increased along the heat flow\n"
+    report = strict_json(out / "report.json")
+    assert report["invariant_violation"] == "energy increased along the heat flow"
+    assert report["energy_final"] == 2.0 * report["energy_initial"]
+    assert (out / "heat.csv").exists() and (out / "terminal.ymf").exists()
 
 
 def _keys_read_by_cli():
