@@ -17,8 +17,17 @@ act on any trailing site shape.  The public full-grid functions apply them
 to whole grids.  The identity assembly applies them only to the sites it
 integrates, gathered as e[:, sel], f[:, sel], x[:, sel]: the cone interior
 for the dissipation, the one-cell shell r ~ t for the lateral flux, and the
-ball r <= t at the two end snapshots for the weighted energy.  It builds
-the curvature once per snapshot and hands it to each per-snapshot helper.
+ball r <= t at the two end snapshots for the weighted energy.
+
+Those sites all lie within r <= |t| + h/2 of the vertex, so each snapshot
+is first cut to its cone window: the smallest even cube, at least 8 points
+wide, holding them plus the two stencil planes a first derivative reads
+beyond them (the whole grid when that cube does not fit inside it, or when
+derivatives are spectral and so not local).  The window's curvature, built
+once per snapshot and shared by its integrands, equals the whole grid's
+bit for bit on those sites; its coordinates are the parent's, sliced, and
+the validity region is the parent's.  So the gathered arrays, and the
+report, are the same as on the whole grid.
 """
 
 from __future__ import annotations
@@ -28,7 +37,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .gaugefield import CurvatureField, FieldError, curvature, pair_component
+from .gaugefield import ConnectionField, CurvatureField, FieldError, curvature, pair_component
+from .grid import Grid4
 from .wave import WaveState
 
 
@@ -50,9 +60,21 @@ class NullComponents:
     mask: np.ndarray
 
 
-def _offsets(grid, center) -> np.ndarray:
-    """Coordinates relative to a spatial center, shape (4, n, n, n, n)."""
-    return np.stack([grid.coordinate_field(j) - center[j - 1] for j in range(1, 5)])
+_WHOLE = (slice(None),) * 4
+
+
+def _offsets(grid, center, cut=_WHOLE) -> np.ndarray:
+    """Coordinates relative to a spatial center at the sites grid[cut],
+    shape (4, ...); the whole grid gives (4, n, n, n, n)."""
+    return np.stack([grid.coordinate_field(j)[cut] - center[j - 1] for j in range(1, 5)])
+
+
+def _radius(x: np.ndarray) -> np.ndarray:
+    """|x| per site, summed over the axes onto zeros as Grid4.radius sums it."""
+    r2 = np.zeros(x.shape[1:])
+    for xj in x:
+        r2 += xj**2
+    return np.sqrt(r2)
 
 
 def _contract(v: np.ndarray, f: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -191,15 +213,13 @@ def energy_momentum(w: WaveState) -> np.ndarray:
 # -- the X_eps multiplier machinery -----------------------------------------
 
 
-def _cone_geometry(w: WaveState, vertex, eps: float):
-    g = w.a.grid
-    t = w.t - vertex[0]
-    x = _offsets(g, vertex[1:])
+def _cone_geometry(t: float, x: np.ndarray, h: float, eps: float):
+    """r, rho_eps and the mask rho_eps >= 2h at sites x, t after the vertex."""
     r = np.sqrt(np.einsum("j...,j...->...", x, x))
     rho2 = (t + eps) ** 2 - r**2
-    mask = rho2 >= (2.0 * g.h) ** 2
+    mask = rho2 >= (2.0 * h) ** 2
     rho = np.sqrt(np.where(mask, rho2, 1.0))
-    return t, x, r, rho, mask
+    return r, rho, mask
 
 
 def _iota(e: np.ndarray, f: np.ndarray, x: np.ndarray, tau: float, rho: np.ndarray) -> np.ndarray:
@@ -215,34 +235,102 @@ def iota_xf(w: WaveState, eps: float, vertex=(0.0, 0.0, 0.0, 0.0, 0.0)) -> np.nd
 
     Component 0 is temporal; sites with rho_eps < 2h are zeroed.
     """
-    t, x, r, rho, mask = _cone_geometry(w, vertex, eps)
+    g = w.a.grid
+    t, x = w.t - vertex[0], _offsets(g, vertex[1:])
+    _, rho, mask = _cone_geometry(t, x, g.h, eps)
     return _iota(w.adot, curvature(w.a).f, x, t + eps, rho) * mask[..., None]
 
 
-def interior_dissipation(
-    w: WaveState, eps: float, vertex, gamma: float = 1.0, F: Optional[CurvatureField] = None
-) -> float:
-    """Integral over the cone section of (2 / rho_eps)|iota_X F|^2.
+# -- the cone window --------------------------------------------------------
 
-    F, the curvature of w.a, is built when not given.
+
+def _window(g: Grid4, center, radius: float) -> Optional[tuple]:
+    """Numpy-axis slices of the cone window, or None for the whole grid.
+
+    The window is the smallest even cube, at least 8 points wide, holding
+    every site within radius of center along each axis plus the two planes
+    beyond them that the central stencil reads.  None when no such site or
+    cube fits strictly inside the grid, or when derivatives are spectral.
     """
-    t, x, r, rho, mask = _cone_geometry(w, vertex, eps)
-    inside = mask & (r <= gamma * abs(t))
-    if F is None:
-        F = curvature(w.a)
+    if g.deriv != "stencil4":
+        return None
+    c = g.coords1d()
+    spans = []
+    for j in range(1, 5):
+        near = np.flatnonzero(np.abs(c - center[j - 1]) <= radius + 1e-9 * g.h)
+        if near.size == 0:
+            return None
+        spans.append((int(near[0]) - 2, int(near[-1]) + 2))
+    m = max(8, max(hi - lo + 1 for lo, hi in spans))
+    m += m % 2
+    if m >= g.n or min(lo for lo, _ in spans) < 0 or max(hi for _, hi in spans) >= g.n:
+        return None
+    cut = [None] * 4
+    for j, (lo, hi) in enumerate(spans, start=1):
+        start = min(max(lo - (m - (hi - lo + 1)) // 2, 0), g.n - m)
+        cut[g.axis(j)] = slice(start, start + m)
+    return tuple(cut)
+
+
+@dataclass
+class _Cone:
+    """One snapshot on its cone window, with the window's curvature.
+
+    t is the time since the vertex; x holds the parent grid's coordinates
+    minus the vertex's spatial center and r their norm, summed as
+    Grid4.radius sums it; grid is the snapshot's own grid, whose spacing,
+    integral and validity region the integrands use.
+    """
+
+    t: float
+    grid: Grid4
+    e: np.ndarray  # (4, m, m, m, m, d)
+    F: CurvatureField  # (6, m, m, m, m, d)
+    x: np.ndarray  # (4, m, m, m, m)
+    r: np.ndarray  # (m, m, m, m)
+
+
+def _cone(w: WaveState, vertex) -> _Cone:
+    """Cut w to the cone window of radius |t| + h/2 and build its curvature."""
+    g = w.a.grid
+    t = w.t - vertex[0]
+    cut = _window(g, vertex[1:], abs(t) + 0.5 * g.h)
+    if cut is None:
+        a, e, cut = w.a, w.adot, _WHOLE
+    else:
+        sub = (slice(None),) + cut
+        # no window face site is gathered; the periodic wrap is the cheaper
+        # of the two face fix-ups
+        win = Grid4(cut[0].stop - cut[0].start, g.h)
+        a = ConnectionField(win, w.a.spec, np.ascontiguousarray(w.a.a[sub]))
+        e = w.adot[sub]
+    x = _offsets(g, vertex[1:], cut)
+    return _Cone(t, g, e, curvature(a), x, _radius(x))
+
+
+def interior_dissipation(w: WaveState, eps: float, vertex, cone: Optional[_Cone] = None) -> float:
+    """Integral over the cone section r <= |t| of (2 / rho_eps)|iota_X F|^2.
+
+    cone, w cut to its cone window, is built when not given.
+    """
+    if cone is None:
+        cone = _cone(w, vertex)
+    t = cone.t
+    r, rho, mask = _cone_geometry(t, cone.x, cone.grid.h, eps)
+    inside = mask & (r <= abs(t))
     rho = rho[inside]
-    iota = _iota(w.adot[:, inside], F.f[:, inside], x[:, inside], t + eps, rho)
-    return w.a.grid.integrate(2.0 * _sq(iota) / rho)
+    iota = _iota(cone.e[:, inside], cone.F.f[:, inside], cone.x[:, inside], t + eps, rho)
+    return cone.grid.integrate(2.0 * _sq(iota) / rho)
 
 
-def weighted_energy(w: WaveState, vertex, eps: float, F: Optional[CurvatureField] = None) -> float:
+def weighted_energy(w: WaveState, vertex, eps: float, cone: Optional[_Cone] = None) -> float:
     """The hyperboloidal weighted energy over the cone section S_t.
 
     Integrand (1/2) w+ (|alpha|^2 + |varrho|^2 + |sigma|^2)
             + (1/2) w- (|alphabar|^2 + |varrho|^2 + |sigma|^2),
     w+- = ((t + eps +- r) / (t + eps -+ r))^{1/2}; sites masked out of the
     null frame contribute the plain energy density with the mean weight.
-    F, the curvature of w.a, is built when not given.
+    cone, w cut to its cone window, is built when not given.
     """
     g = w.a.grid
     t0, x0 = vertex[0], vertex[1:]
@@ -251,15 +339,14 @@ def weighted_energy(w: WaveState, vertex, eps: float, F: Optional[CurvatureField
         raise FieldError("cone section requires t > vertex time")
     if max(abs(c) for c in x0) + t > g.extent / 4.0 + 1e-12:
         raise FieldError("cone section leaves the inner half-box validity region")
-    r = g.radius(center=x0)
-    inside = r <= t
-    r = r[inside]
+    if cone is None:
+        cone = _cone(w, vertex)
+    inside = cone.r <= t
+    r = cone.r[inside]
     if not np.all(r < t + eps):
         raise FieldError("cone section touches the characteristic r = t + eps")
-    if F is None:
-        F = curvature(w.a)
-    e, f = w.adot[:, inside], F.f[:, inside]
-    frame = _frame(_offsets(g, x0)[:, inside], g.h)
+    e, f = cone.e[:, inside], cone.F.f[:, inside]
+    frame = _frame(cone.x[:, inside], g.h)
     alpha, alphabar, varrho, sigma = _null_components(e, f, frame)
     wp = np.sqrt((t + eps + r) / np.maximum(t + eps - r, 1e-300))
     wm = 1.0 / wp
@@ -282,23 +369,17 @@ class MorawetzReport:
     identity_residual: float
 
 
-def _boundary_flux(w: WaveState, vertex, eps: float, F: Optional[CurvatureField] = None) -> float:
+def _boundary_flux(cone: _Cone, eps: float) -> float:
     """Lateral cone-boundary integrand: shell sum of P_0 + nhat^j P_j.
 
     P_alpha = T_{alpha beta} X^beta, formed on the shell only; the shell is
     one cell thick around r = t - t0, volume-summed and divided by the
-    thickness h.  F, the curvature of w.a, is built when not given.
+    thickness h.
     """
-    g = w.a.grid
-    t0, x0 = vertex[0], vertex[1:]
-    t = w.t - t0
-    r = g.radius(center=x0)
-    shell = np.abs(r - t) <= 0.5 * g.h
-    r = r[shell]
-    x = _offsets(g, x0)[:, shell]
-    if F is None:
-        F = curvature(w.a)
-    T = _stress(w.adot[:, shell], F.f[:, shell])
+    g, t = cone.grid, cone.t
+    shell = np.abs(cone.r - t) <= 0.5 * g.h
+    r, x = cone.r[shell], cone.x[:, shell]
+    T = _stress(cone.e[:, shell], cone.F.f[:, shell])
     rho = np.sqrt(np.maximum((t + eps) ** 2 - r**2, 1e-300))
     X = np.concatenate([((t + eps) / rho)[None], x / rho])
     P = np.einsum("ab...,b...->a...", T, X)
@@ -319,11 +400,14 @@ def morawetz_identity_residual(
     LHS: weighted energy at t2 plus the time-integrated interior
     dissipation; RHS: weighted energy at t1 plus the time-integrated
     lateral boundary flux.  Time integrals by the trapezoid rule over the
-    snapshots falling in [t1, t2], whose times must strictly increase.
-    Each snapshot's curvature is built once and shared by its integrands.
+    snapshots falling in [t1, t2], whose times must strictly increase; all
+    snapshots must share one grid.  Each snapshot is cut to its cone window
+    once, and the window's one curvature is shared by its integrands.
     """
     if not 0.0 < eps < np.inf:
         raise FieldError(f"eps must be finite and positive, got {eps!r}")
+    if len({w.a.grid for w in snapshots}) > 1:
+        raise FieldError("snapshots must share one grid")
     sel = [w for w in snapshots if t1 - 1e-12 <= w.t <= t2 + 1e-12]
     if len(sel) < 2:
         raise FieldError("need at least two snapshots in [t1, t2]")
@@ -332,11 +416,11 @@ def morawetz_identity_residual(
         raise FieldError("snapshot times in [t1, t2] must be strictly increasing")
     diss, flux, we = [], [], []
     for i, w in enumerate(sel):
-        F = curvature(w.a)
+        cone = _cone(w, vertex)
         if i in (0, len(sel) - 1):
-            we.append(weighted_energy(w, vertex, eps, F))
-        diss.append(interior_dissipation(w, eps, vertex, F=F))
-        flux.append(_boundary_flux(w, vertex, eps, F))
+            we.append(weighted_energy(w, vertex, eps, cone))
+        diss.append(interior_dissipation(w, eps, vertex, cone))
+        flux.append(_boundary_flux(cone, eps))
     diss_int = float(np.trapezoid(diss, times))
     flux_int = float(np.trapezoid(flux, times))
     we1, we2 = we

@@ -93,6 +93,7 @@ def _energy_and_peak(w: WaveState) -> tuple:
 def run_wave(d: InitialDataSet, p: WaveParams) -> List[WaveState]:
     """Evolve to t_end, returning snapshots every snapshot_stride steps,
     each with its energy recorded from the density the blow-up check uses.
+    The first snapshot shares d.a and d.e, which no step writes.
 
     Raises a blow-up signal (with the partial snapshot list attached) on
     non-finite values or an energy-density peak that is NaN or beyond 1e6
@@ -100,7 +101,7 @@ def run_wave(d: InitialDataSet, p: WaveParams) -> List[WaveState]:
     """
     g = d.a.grid
     p.check_cfl(g.h)
-    w = WaveState(0.0, d.a, np.array(d.e, dtype=float, copy=True))
+    w = WaveState(0.0, d.a, np.asarray(d.e, dtype=float))
     w.gauss_residual = _gauss(w.a, w.adot)
     w.energy, peak0 = _energy_and_peak(w)
     snapshots = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ym4 import algebra, data, morawetz, wave
-from ym4.gaugefield import FieldError, InitialDataSet, energy_density
+from ym4.gaugefield import ConnectionField, FieldError, InitialDataSet, curvature, energy_density
 from ym4.grid import Grid4
 from ym4.wave import WaveParams, WaveState
 
@@ -100,7 +100,8 @@ def test_iota_xf_masked_and_dissipation_nonnegative():
     iota = morawetz.iota_xf(w, eps=0.5)
     g = w.a.grid
     # sites inside the 2h hyperboloid collar are zeroed
-    t, x, r, rho, mask = morawetz._cone_geometry(w, (0.0, 0.0, 0.0, 0.0, 0.0), 0.5)
+    x = morawetz._offsets(g, (0.0, 0.0, 0.0, 0.0))
+    r, rho, mask = morawetz._cone_geometry(w.t, x, g.h, 0.5)
     assert np.max(np.abs(iota[:, ~mask])) == 0.0
     val = morawetz.interior_dissipation(w, 0.5, (0.0, 0.0, 0.0, 0.0, 0.0))
     assert val >= 0.0
@@ -153,7 +154,8 @@ def _reference_report(snaps, vertex, eps):
     r = g.radius(center=x0)
 
     def dissipation(w):
-        t, _, rc, rho, mask = morawetz._cone_geometry(w, vertex, eps)
+        t = w.t - t0
+        rc, rho, mask = morawetz._cone_geometry(t, x, g.h, eps)
         iota = morawetz.iota_xf(w, eps, vertex)
         dens = np.einsum("b...c,b...c->...", iota, iota)
         return g.integrate(np.where(mask & (rc <= abs(t)), 2.0 * dens / rho, 0.0))
@@ -212,10 +214,16 @@ def test_identity_assembly_builds_curvature_once_per_snapshot(bpst_run, monkeypa
 
     monkeypatch.setattr(morawetz, "curvature", counted)
     morawetz.morawetz_identity_residual(bpst_run, VERTEX, eps=0.5, t1=0.0, t2=1.0)
+    # t - t0 = 0.75, 0.8125, 0.875: sites within t + h/2 of the center span
+    # 7, 7 and 9 planes per axis, plus two stencil planes on each side
+    windows = [slice(3, 15), slice(3, 15), slice(2, 16)]
     assert len(calls) == len(bpst_run)
-    assert all(a is w.a for a, w in zip(calls, bpst_run))
+    for a, w, s in zip(calls, bpst_run, windows):
+        cut = np.ascontiguousarray(w.a.a[:, s, s, s, s])
+        assert a.grid.n == s.stop - s.start and a.grid.h == w.a.grid.h
+        assert a.a.tobytes() == cut.tobytes()
     calls.clear()
-    # a window holding two of the three snapshots builds two curvatures
+    # an interval [t1, t2] holding two of the three snapshots builds two
     morawetz.morawetz_identity_residual(bpst_run, VERTEX, eps=0.5, t1=bpst_run[1].t, t2=1.0)
     assert len(calls) == 2
 
@@ -231,3 +239,109 @@ def test_identity_assembly_guards(bpst_run):
         morawetz.morawetz_identity_residual(snaps, VERTEX, eps=0.5, t1=0.0, t2=1.0)
     with pytest.raises(FieldError):
         morawetz.morawetz_identity_residual(bpst_run[:1], VERTEX, eps=0.5, t1=0.0, t2=1.0)
+
+
+def test_identity_assembly_rejects_snapshots_on_two_grids(bpst_run):
+    w = bpst_run[1]
+    other = Grid4(w.a.grid.n, w.a.grid.h)  # periodic, where the run is open
+    moved = WaveState(w.t, ConnectionField(other, SU2, w.a.a), w.adot)
+    with pytest.raises(FieldError, match="one grid"):
+        morawetz.morawetz_identity_residual([bpst_run[0], moved, bpst_run[2]], VERTEX, eps=0.5, t1=0.0, t2=1.0)
+
+
+# -- the cone window against the whole grid ----------------------------------
+
+
+def _full_grid_report(snaps, vertex, eps):
+    """The identity assembled from whole-grid curvatures, coordinates and
+    radii, gathering the same sites as the windowed assembly."""
+    g = snaps[0].a.grid
+    t0, x0 = vertex[0], vertex[1:]
+    x = np.stack([g.coordinate_field(j) - x0[j - 1] for j in range(1, 5)])
+    r = g.radius(center=x0)
+    sq = morawetz._sq
+
+    def dissipation(w, f, t):
+        rc, rho, mask = morawetz._cone_geometry(t, x, g.h, eps)
+        inside = mask & (rc <= abs(t))
+        rho = rho[inside]
+        iota = morawetz._iota(w.adot[:, inside], f[:, inside], x[:, inside], t + eps, rho)
+        return g.integrate(2.0 * sq(iota) / rho)
+
+    def flux(w, f, t):
+        shell = np.abs(r - t) <= 0.5 * g.h
+        rs, xs = r[shell], x[:, shell]
+        T = morawetz._stress(w.adot[:, shell], f[:, shell])
+        rho = np.sqrt(np.maximum((t + eps) ** 2 - rs**2, 1e-300))
+        X = np.concatenate([((t + eps) / rho)[None], xs / rho])
+        P = np.einsum("ab...,b...->a...", T, X)
+        nhat = xs / np.where(rs > 0.0, rs, 1.0)
+        return g.integrate(P[0] + np.einsum("j...,j...->...", nhat, P[1:])) / g.h
+
+    def weighted(w, f, t):
+        inside = r <= t
+        rb = r[inside]
+        e, fb = w.adot[:, inside], f[:, inside]
+        frame = morawetz._frame(x[:, inside], g.h)
+        alpha, alphabar, varrho, sigma = morawetz._null_components(e, fb, frame)
+        wp = np.sqrt((t + eps + rb) / np.maximum(t + eps - rb, 1e-300))
+        wm = 1.0 / wp
+        good = np.einsum("...c,...c->...", varrho, varrho) + sq(sigma)
+        dens = 0.5 * wp * (sq(alpha) + good) + 0.5 * wm * (sq(alphabar) + good)
+        plain = 0.5 * (wp + wm) * (sq(fb) + sq(e))
+        return g.integrate(np.where(frame.mask, dens, plain))
+
+    diss, bdry, we = [], [], []
+    for i, w in enumerate(snaps):
+        f, t = curvature(w.a).f, w.t - t0
+        if i in (0, len(snaps) - 1):
+            we.append(weighted(w, f, t))
+        diss.append(dissipation(w, f, t))
+        bdry.append(flux(w, f, t))
+    times = [w.t for w in snaps]
+    diss, bdry = float(np.trapezoid(diss, times)), float(np.trapezoid(bdry, times))
+    lhs, rhs = we[1] + diss, we[0] + bdry
+    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    return we[0], we[1], diss, bdry, residual
+
+
+def _random_snapshots(g, times, seed):
+    """States with random connection and electric field; no wave run."""
+    rng = np.random.default_rng(seed)
+    shape = (4,) + g.shape + (SU2.dim,)
+    return [
+        WaveState(t, ConnectionField(g, SU2, 0.3 * rng.standard_normal(shape)), rng.standard_normal(shape))
+        for t in times
+    ]
+
+
+@pytest.mark.parametrize(
+    "grid, vertex, windowed",
+    [
+        (Grid4(16, 0.25, boundary="open"), (-0.5, 0.25, -0.1, 0.0, 0.3), True),
+        (Grid4(20, 0.25), (-0.8, 0.0, 0.1, -0.2, 0.0), True),
+        # the cube (10 points wide) does not fit inside 8 points
+        (Grid4(8, 0.5), (-0.5, 0.0, 0.0, 0.0, 0.0), False),
+        # spectral derivatives are not local, so no window is cut
+        (Grid4(16, 0.25, deriv="spectral"), (-0.5, 0.25, 0.0, 0.0, 0.0), False),
+    ],
+    ids=["open", "periodic", "fallback", "spectral"],
+)
+def test_windowed_report_equals_full_grid_report(grid, vertex, windowed):
+    snaps = _random_snapshots(grid, (0.0, 0.05, 0.1), seed=11)
+    for w in snaps:
+        cut = morawetz._window(grid, vertex[1:], abs(w.t - vertex[0]) + 0.5 * grid.h)
+        assert (cut is not None) == windowed
+        if windowed:
+            assert cut[0].stop - cut[0].start < grid.n
+    rep = morawetz.morawetz_identity_residual(snaps, vertex, eps=0.5, t1=0.0, t2=0.1)
+    got = (
+        rep.weighted_energy_start,
+        rep.weighted_energy,
+        rep.interior_dissipation_accum,
+        rep.boundary_term,
+        rep.identity_residual,
+    )
+    want = _full_grid_report(snaps, vertex, 0.5)
+    assert min(abs(v) for v in want) > 0.0
+    assert got == want

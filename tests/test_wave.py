@@ -158,3 +158,11 @@ def test_temporal_gauge_transport_constant_potential():
     assert np.max(np.abs(out[-1].q - want)) <= 1e-10
     with pytest.raises(ValueError):
         wave.temporal_gauge_transport([a0, a0], identity_transform(g, SU2), dt)
+
+
+def test_run_wave_shares_and_leaves_the_initial_electric_field():
+    d = data.random_data(small_grid(), SU2, seed=3, amplitude=0.05, k_band=1)
+    before = d.e.tobytes()
+    snaps = run_wave(d, WaveParams(dt=0.1, t_end=0.2))
+    assert len(snaps) == 3 and d.e.tobytes() == before
+    assert snaps[0].a is d.a and np.shares_memory(snaps[0].adot, d.e)
