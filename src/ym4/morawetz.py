@@ -13,14 +13,14 @@ The names keep the curvature null component (varrho) and the hyperboloidal
 weight (rho_eps) fully spelled out.
 
 The pointwise formulas (T, iota_X F, the null frame and its components)
-act on any trailing site shape.  The public full-grid functions apply them
-to whole grids.  The identity assembly applies them only to the sites it
-integrates, gathered as e[:, sel], f[:, sel], x[:, sel]: the cone interior
-for the dissipation, the one-cell shell r ~ t for the lateral flux, and the
-ball r <= t at the two end snapshots for the weighted energy.
+act on any trailing site shape.  The identity assembly is the only place
+they are evaluated, and only on the sites it integrates, gathered as
+e[:, sel], f[:, sel], x[:, sel]: the cone interior for the dissipation, the
+one-cell shell r ~ t for the lateral flux, and the ball r <= t at the two
+end snapshots for the weighted energy.
 
-Those sites all lie within r <= |t| + h/2 of the vertex, so each snapshot
-is first cut to its cone window: the smallest even cube, at least 8 points
+Those sites all lie within r <= t + h/2 of the vertex, so each snapshot is
+first cut to its cone window: the smallest even cube, at least 8 points
 wide, holding them plus the two stencil planes a first derivative reads
 beyond them (the whole grid when that cube does not fit inside it, or when
 derivatives are spectral and so not local).  The window's curvature, built
@@ -51,19 +51,10 @@ class NullFrame:
     mask: np.ndarray  # (...) bool, True where r >= 2h
 
 
-@dataclass
-class NullComponents:
-    alpha: np.ndarray  # (3, ..., d)
-    alphabar: np.ndarray  # (3, ..., d)
-    varrho: np.ndarray  # (..., d)
-    sigma: np.ndarray  # (3, ..., d): tangent pairs (1,2), (1,3), (2,3)
-    mask: np.ndarray
-
-
 _WHOLE = (slice(None),) * 4
 
 
-def _offsets(grid, center, cut=_WHOLE) -> np.ndarray:
+def _offsets(grid, center, cut) -> np.ndarray:
     """Coordinates relative to a spatial center at the sites grid[cut],
     shape (4, ...); the whole grid gives (4, n, n, n, n)."""
     return np.stack([grid.coordinate_field(j)[cut] - center[j - 1] for j in range(1, 5)])
@@ -129,24 +120,6 @@ def _frame(x: np.ndarray, h: float) -> NullFrame:
     return NullFrame(nhat, tangent, mask)
 
 
-def null_frame(grid, center=(0.0, 0.0, 0.0, 0.0)) -> NullFrame:
-    """Radial/tangential orthonormal frame about a spatial center, whole grid."""
-    return _frame(_offsets(grid, center), grid.h)
-
-
-def rotate_frame(frame: NullFrame, theta: float) -> NullFrame:
-    """Rotate the tangential triad by theta in the (e_1, e_2) plane.
-
-    The null norms reported downstream are frame-covariant, so this only
-    exists to verify that invariance.
-    """
-    c, s = np.cos(theta), np.sin(theta)
-    tangent = frame.tangent.copy()
-    tangent[0] = c * frame.tangent[0] + s * frame.tangent[1]
-    tangent[1] = -s * frame.tangent[0] + c * frame.tangent[1]
-    return NullFrame(frame.nhat, tangent, frame.mask)
-
-
 def _null_components(e: np.ndarray, f: np.ndarray, frame: NullFrame):
     """(alpha, alphabar, varrho, sigma) of (e, f) in the frame, unmasked."""
     b = _contract(frame.nhat, f)  # b_k = nhat^j f_{jk}
@@ -162,17 +135,6 @@ def _null_components(e: np.ndarray, f: np.ndarray, frame: NullFrame):
         ]
     )
     return alpha, alphabar, varrho, sigma
-
-
-def null_decompose(
-    w: WaveState, center=(0.0, 0.0, 0.0, 0.0), frame: Optional[NullFrame] = None
-) -> NullComponents:
-    """Contract the curvature with the null frame (L, Lbar, e_a)."""
-    if frame is None:
-        frame = null_frame(w.a.grid, center)
-    parts = _null_components(w.adot, curvature(w.a).f, frame)
-    m = frame.mask[..., None]
-    return NullComponents(*(p * m for p in parts), frame.mask)
 
 
 # -- energy-momentum tensor -------------------------------------------------
@@ -205,11 +167,6 @@ def _stress(e: np.ndarray, f: np.ndarray) -> np.ndarray:
     return T
 
 
-def energy_momentum(w: WaveState) -> np.ndarray:
-    """T_{alpha beta}, shape (5, 5, n, n, n, n), symmetric in (alpha, beta)."""
-    return _stress(w.adot, curvature(w.a).f)
-
-
 # -- the X_eps multiplier machinery -----------------------------------------
 
 
@@ -228,17 +185,6 @@ def _iota(e: np.ndarray, f: np.ndarray, x: np.ndarray, tau: float, rho: np.ndarr
     out[0] = -np.einsum("j...,j...c->...c", x, e) / rho[..., None]
     out[1:] = _contract(x, f, tau * e) / rho[..., None]
     return out
-
-
-def iota_xf(w: WaveState, eps: float, vertex=(0.0, 0.0, 0.0, 0.0, 0.0)) -> np.ndarray:
-    """(iota_X F)_beta = X^alpha F_{alpha beta}, shape (5, ..., d).
-
-    Component 0 is temporal; sites with rho_eps < 2h are zeroed.
-    """
-    g = w.a.grid
-    t, x = w.t - vertex[0], _offsets(g, vertex[1:])
-    _, rho, mask = _cone_geometry(t, x, g.h, eps)
-    return _iota(w.adot, curvature(w.a).f, x, t + eps, rho) * mask[..., None]
 
 
 # -- the cone window --------------------------------------------------------
@@ -291,10 +237,18 @@ class _Cone:
 
 
 def _cone(w: WaveState, vertex) -> _Cone:
-    """Cut w to the cone window of radius |t| + h/2 and build its curvature."""
+    """Cut w to the cone window of radius t + h/2 and build its curvature.
+
+    The cone section must start after the vertex and stay inside the inner
+    half-box validity region.
+    """
     g = w.a.grid
     t = w.t - vertex[0]
-    cut = _window(g, vertex[1:], abs(t) + 0.5 * g.h)
+    if t <= 0:
+        raise FieldError("cone section requires t > vertex time")
+    if max(abs(c) for c in vertex[1:]) + t > g.extent / 4.0 + 1e-12:
+        raise FieldError("cone section leaves the inner half-box validity region")
+    cut = _window(g, vertex[1:], t + 0.5 * g.h)
     if cut is None:
         a, e, cut = w.a, w.adot, _WHOLE
     else:
@@ -308,39 +262,25 @@ def _cone(w: WaveState, vertex) -> _Cone:
     return _Cone(t, g, e, curvature(a), x, _radius(x))
 
 
-def interior_dissipation(w: WaveState, eps: float, vertex, cone: Optional[_Cone] = None) -> float:
-    """Integral over the cone section r <= |t| of (2 / rho_eps)|iota_X F|^2.
-
-    cone, w cut to its cone window, is built when not given.
-    """
-    if cone is None:
-        cone = _cone(w, vertex)
+def interior_dissipation(cone: _Cone, eps: float) -> float:
+    """Integral over the cone section r <= t of (2 / rho_eps)|iota_X F|^2."""
     t = cone.t
     r, rho, mask = _cone_geometry(t, cone.x, cone.grid.h, eps)
-    inside = mask & (r <= abs(t))
+    inside = mask & (r <= t)
     rho = rho[inside]
     iota = _iota(cone.e[:, inside], cone.F.f[:, inside], cone.x[:, inside], t + eps, rho)
     return cone.grid.integrate(2.0 * _sq(iota) / rho)
 
 
-def weighted_energy(w: WaveState, vertex, eps: float, cone: Optional[_Cone] = None) -> float:
+def weighted_energy(cone: _Cone, eps: float) -> float:
     """The hyperboloidal weighted energy over the cone section S_t.
 
     Integrand (1/2) w+ (|alpha|^2 + |varrho|^2 + |sigma|^2)
             + (1/2) w- (|alphabar|^2 + |varrho|^2 + |sigma|^2),
     w+- = ((t + eps +- r) / (t + eps -+ r))^{1/2}; sites masked out of the
     null frame contribute the plain energy density with the mean weight.
-    cone, w cut to its cone window, is built when not given.
     """
-    g = w.a.grid
-    t0, x0 = vertex[0], vertex[1:]
-    t = w.t - t0
-    if t <= 0:
-        raise FieldError("cone section requires t > vertex time")
-    if max(abs(c) for c in x0) + t > g.extent / 4.0 + 1e-12:
-        raise FieldError("cone section leaves the inner half-box validity region")
-    if cone is None:
-        cone = _cone(w, vertex)
+    g, t = cone.grid, cone.t
     inside = cone.r <= t
     r = cone.r[inside]
     if not np.all(r < t + eps):
@@ -418,8 +358,8 @@ def morawetz_identity_residual(
     for i, w in enumerate(sel):
         cone = _cone(w, vertex)
         if i in (0, len(sel) - 1):
-            we.append(weighted_energy(w, vertex, eps, cone))
-        diss.append(interior_dissipation(w, eps, vertex, cone))
+            we.append(weighted_energy(cone, eps))
+        diss.append(interior_dissipation(cone, eps))
         flux.append(_boundary_flux(cone, eps))
     diss_int = float(np.trapezoid(diss, times))
     flux_int = float(np.trapezoid(flux, times))

@@ -159,9 +159,7 @@ def leray_project(g: Grid4, v: np.ndarray) -> np.ndarray:
     part, using the grid's own first-derivative symbols so that the discrete
     divergence of the output vanishes on all nonzero-symbol modes."""
     s = [g.deriv_symbol(j) for j in range(1, 5)]
-    s2 = np.zeros(g.shape)
-    for sj in s:
-        s2 = s2 + np.broadcast_to(sj**2, g.shape)
+    s2 = -g.laplace_symbol()
     vhat = np.stack([g.fft(v[j]) for j in range(4)])
     div = np.zeros_like(vhat[0])
     for j in range(4):
@@ -193,15 +191,6 @@ def q_symbol_value(xi2: np.ndarray, eta2: np.ndarray) -> np.ndarray:
     return np.where(denom > 0.0, (xi2 - eta2) / np.where(denom > 0.0, 2.0 * denom, 1.0), 0.0)
 
 
-def _mode_s2(g: Grid4) -> np.ndarray:
-    """Squared first-derivative symbol magnitude per mode (grid-consistent
-    stand-in for |xi|^2)."""
-    s2 = np.zeros(g.shape)
-    for j in range(1, 5):
-        s2 = s2 + np.broadcast_to(g.deriv_symbol(j) ** 2, g.shape)
-    return s2
-
-
 def bilinear_multiplier(g: Grid4, spec, A: np.ndarray, B: np.ndarray, symbol) -> np.ndarray:
     """Direct double Fourier sum of a bracket-valued bilinear multiplier.
 
@@ -213,7 +202,7 @@ def bilinear_multiplier(g: Grid4, spec, A: np.ndarray, B: np.ndarray, symbol) ->
     n = g.n
     Ahat = np.stack([g.fft(A[l]) for l in range(4)]) / n**4
     Bhat = np.stack([g.fft(B[l]) for l in range(4)]) / n**4
-    s2 = _mode_s2(g)
+    s2 = -g.laplace_symbol()  # squared derivative-symbol magnitude per mode
     chat = np.zeros(g.shape + (spec.dim,), dtype=complex)
     # iterate over the active xi modes of A; for each, eta = zeta - xi is a
     # lattice shift, realized by rolling the B arrays.  The activity cut is
@@ -271,7 +260,7 @@ def q_bilinear_oracle(g: Grid4, spec, A: np.ndarray, B: np.ndarray) -> np.ndarra
 
     Ahat = np.stack([dft4(A[l]) for l in range(4)])
     Bhat = np.stack([dft4(B[l]) for l in range(4)])
-    s2 = _mode_s2(g)
+    s2 = -g.laplace_symbol()
     # honest quadruple loop over mode pairs; the activity cut is relative
     # (DFT round-off populates every mode at ~1e-16 of the peak)
     cut_a = 1e-13 * max(float(np.max(np.abs(Ahat))), 1e-300)

@@ -90,7 +90,10 @@ def read_snapshot(path):
             raise SnapshotError(f"bad magic {magic!r}")
         if version != VERSION:
             raise SnapshotError(f"unsupported version {version}")
-        (crc,) = struct.unpack("<I", fh.read(4))
+        raw_crc = fh.read(4)
+        if len(raw_crc) != 4:
+            raise SnapshotError("truncated header")
+        (crc,) = struct.unpack("<I", raw_crc)
         if crc != (zlib.crc32(head) & 0xFFFFFFFF):
             raise SnapshotError("header checksum mismatch")
         spec = group_from_id(gid)
@@ -101,5 +104,5 @@ def read_snapshot(path):
         if fh.read(1):
             raise SnapshotError("trailing bytes after the payload")
     data = np.frombuffer(raw, dtype="<f8").reshape((n, n, n, n, comps, spec.dim))
-    arr = np.ascontiguousarray(np.moveaxis(data, 4, 0)).astype(float)
+    arr = np.ascontiguousarray(np.moveaxis(data, 4, 0), dtype=float)
     return SnapshotHeader(gid, n, h, kind, comps, time), arr

@@ -1,7 +1,15 @@
-"""Unit tests for the energy-momentum tensor and null-frame diagnostics."""
+"""Unit tests for the energy-momentum tensor, the null frame and the
+Morawetz identity assembly.
+
+The pointwise forms are tested on random sites of random shape; the
+full-grid forms that the assembly is checked against live here, as
+reference forms, not in the package.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ym4 import algebra, data, morawetz, wave
 from ym4.gaugefield import ConnectionField, FieldError, InitialDataSet, curvature, energy_density
@@ -17,69 +25,128 @@ def make_state(n=8, h=0.5, seed=1, amp=0.05, t=0.0):
     return WaveState(t, d.a, np.array(d.e))
 
 
-def test_null_frame_orthonormal_and_mask():
-    g = Grid4(8, 0.5)
-    fr = morawetz.null_frame(g)
+# -- the pointwise forms on random sites --------------------------------------
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def sites(draw):
+    """Coordinates x (4, ...), electric field e (4, ..., d) and pair-stored
+    magnetic field f (6, ..., d) on a random trailing site shape."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    d = draw(st.sampled_from([1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(0.1, 4.0))
+    x = scale * rng.uniform(-1.0, 1.0, (4,) + shape)
+    e = rng.standard_normal((4,) + shape + (d,))
+    f = rng.standard_normal((6,) + shape + (d,))
+    return x, e, f
+
+
+def rotate_frame(frame, theta):
+    """The frame with its tangential triad rotated by theta in the (e_1, e_2)
+    plane; the null norms do not depend on that choice."""
+    c, s = np.cos(theta), np.sin(theta)
+    tangent = frame.tangent.copy()
+    tangent[0] = c * frame.tangent[0] + s * frame.tangent[1]
+    tangent[1] = -s * frame.tangent[0] + c * frame.tangent[1]
+    return morawetz.NullFrame(frame.nhat, tangent, frame.mask)
+
+
+def plain_density(e, f):
+    """|e|^2 + |f|^2 per site, summed over components and the algebra axis."""
+    return np.sum(e**2, axis=(0, -1)) + np.sum(f**2, axis=(0, -1))
+
+
+@SETTINGS
+@given(site=sites(), h=st.floats(0.05, 1.0))
+def test_null_frame_orthonormal_and_mask(site, h):
+    x = site[0]
+    fr = morawetz._frame(x, h)
+    r = np.sqrt(np.sum(x**2, axis=0))
+    assert np.array_equal(fr.mask, r >= 2 * h - 1e-12)
+    # nhat is the unit radial direction; the tangent triad is orthonormal
+    # and orthogonal to nhat
     m = fr.mask
-    assert not m[0, 0, 0, 0] or g.radius()[0, 0, 0, 0] >= 2 * g.h - 1e-12
-    # nhat unit where defined, tangent triad orthonormal and orthogonal to nhat
-    nn = np.einsum("j...,j...->...", fr.nhat, fr.nhat)
-    assert np.max(np.abs(nn[m] - 1.0)) <= 1e-12
-    for a in range(3):
-        ta = fr.tangent[a]
-        assert np.max(np.abs(np.einsum("j...,j...->...", ta, ta)[m] - 1.0)) <= 1e-12
-        assert np.max(np.abs(np.einsum("j...,j...->...", ta, fr.nhat)[m])) <= 1e-12
-        for b in range(a + 1, 3):
-            dot = np.einsum("j...,j...->...", ta, fr.tangent[b])
-            assert np.max(np.abs(dot[m])) <= 1e-12
+    assert np.max(np.abs(fr.nhat * r - x)[:, m], initial=0.0) <= 1e-12 * max(np.max(r), 1.0)
+    basis = np.concatenate([fr.nhat[None], fr.tangent])
+    gram = np.einsum("aj...,bj...->ab...", basis, basis)
+    assert np.max(np.abs(gram - np.eye(4).reshape((4, 4) + (1,) * r.ndim))[:, :, m], initial=0.0) <= 1e-12
 
 
-def test_null_decompose_reconstructs_energy_density():
+@SETTINGS
+@given(site=sites(), h=st.floats(0.05, 1.0))
+def test_null_decompose_reconstructs_energy_density(site, h):
     # |alpha|^2/2 + |alphabar|^2/2 + |varrho|^2 + |sigma|^2 equals the
     # temporal-temporal energy density on unmasked sites
-    w = make_state()
-    nc = morawetz.null_decompose(w)
-    dens = energy_density(w.curvature())
-    got = (
-        0.5 * np.einsum("a...c,a...c->...", nc.alpha, nc.alpha)
-        + 0.5 * np.einsum("a...c,a...c->...", nc.alphabar, nc.alphabar)
-        + np.einsum("...c,...c->...", nc.varrho, nc.varrho)
-        + np.einsum("a...c,a...c->...", nc.sigma, nc.sigma)
-    )
-    m = nc.mask
-    assert np.max(np.abs(got[m] - dens[m])) <= 1e-10 * max(np.max(dens), 1e-300)
+    x, e, f = site
+    fr = morawetz._frame(x, h)
+    alpha, alphabar, varrho, sigma = morawetz._null_components(e, f, fr)
+    sq = morawetz._sq
+    got = 0.5 * sq(alpha) + 0.5 * sq(alphabar) + np.sum(varrho**2, axis=-1) + sq(sigma)
+    dens = plain_density(e, f)
+    m = fr.mask
+    assert np.max(np.abs(got - dens)[m], initial=0.0) <= 1e-12 * np.max(dens)
 
 
-def test_null_norms_frame_rotation_invariant():
-    w = make_state(seed=2)
+@SETTINGS
+@given(site=sites(), h=st.floats(0.05, 1.0), theta=st.floats(-np.pi, np.pi))
+def test_null_norms_frame_rotation_invariant(site, h, theta):
+    x, e, f = site
+    fr = morawetz._frame(x, h)
+    n1 = morawetz._null_components(e, f, fr)
+    n2 = morawetz._null_components(e, f, rotate_frame(fr, theta))
+    scale = np.max(plain_density(e, f))
+    for v1, v2 in zip(n1[:2] + n1[3:], n2[:2] + n2[3:]):  # alpha, alphabar, sigma
+        assert np.max(np.abs(morawetz._sq(v1) - morawetz._sq(v2))) <= 1e-12 * scale
+    # varrho reads only nhat, which the rotation leaves alone
+    assert np.array_equal(n1[2], n2[2])
+
+
+@SETTINGS
+@given(site=sites())
+def test_energy_momentum_symmetric_traceless_and_energy(site):
+    _, e, f = site
+    T = morawetz._stress(e, f)
+    assert T.shape == (5, 5) + e.shape[1:-1]
+    assert np.array_equal(T, np.swapaxes(T, 0, 1))
+    # T00 is the energy density; the Minkowski trace -T00 + Sum_j T_jj is
+    # -<F, F>/2 = |e|^2 - |f|^2, which in 4+1 dimensions does not vanish
+    dens = plain_density(e, f)
+    assert np.max(np.abs(T[0, 0] - dens)) <= 1e-12 * np.max(dens)
+    trace = -T[0, 0] + sum(T[j, j] for j in range(1, 5))
+    want = np.sum(e**2, axis=(0, -1)) - np.sum(f**2, axis=(0, -1))
+    assert np.max(np.abs(trace - want)) <= 1e-12 * np.max(dens)
+
+
+# -- test-local full-grid reference forms ---------------------------------------
+
+
+def offsets(g, center):
+    return np.stack([g.coordinate_field(j) - center[j - 1] for j in range(1, 5)])
+
+
+def energy_momentum(w):
+    """T_{alpha beta} on the whole grid, shape (5, 5, n, n, n, n)."""
+    return morawetz._stress(w.adot, curvature(w.a).f)
+
+
+def iota_xf(w, eps, vertex):
+    """iota_X F on the whole grid, shape (5, n, n, n, n, d); sites with
+    rho_eps < 2h are zeroed."""
     g = w.a.grid
-    fr = morawetz.null_frame(g)
-    rot = morawetz.rotate_frame(fr, 0.7)
-    n1 = morawetz.null_decompose(w, frame=fr)
-    n2 = morawetz.null_decompose(w, frame=rot)
-
-    def norms(nc):
-        return (
-            np.einsum("a...c,a...c->...", nc.alpha, nc.alpha),
-            np.einsum("a...c,a...c->...", nc.alphabar, nc.alphabar),
-            np.einsum("a...c,a...c->...", nc.sigma, nc.sigma),
-        )
-
-    for v1, v2 in zip(norms(n1), norms(n2)):
-        assert np.max(np.abs(v1 - v2)) <= 1e-12 * max(np.max(np.abs(v1)), 1e-300)
-    assert np.max(np.abs(n1.varrho - n2.varrho)) <= 1e-14
+    t, x = w.t - vertex[0], offsets(g, vertex[1:])
+    _, rho, mask = morawetz._cone_geometry(t, x, g.h, eps)
+    return morawetz._iota(w.adot, curvature(w.a).f, x, t + eps, rho) * mask[..., None]
 
 
-def test_energy_momentum_symmetric_traceless_and_energy():
-    w = make_state(seed=3)
-    g = w.a.grid
-    T = morawetz.energy_momentum(w)
-    assert np.max(np.abs(T - np.swapaxes(T, 0, 1))) <= 1e-13
-    # Minkowski trace -T00 + sum T_jj vanishes for the 4+1 dimensional... no:
-    # the trace is (1 - (d+1)/4) <F,F>; in 4+1 dimensions it is nonzero, but
-    # T00 must match the energy density
-    dens = energy_density(w.curvature())
-    assert np.max(np.abs(T[0, 0] - dens)) <= 1e-12 * max(np.max(dens), 1e-300)
+def null_decompose(w, center):
+    """(alpha, alphabar, varrho, sigma) on the whole grid, zeroed where the
+    frame is masked, and the mask."""
+    frame = morawetz._frame(offsets(w.a.grid, center), w.a.grid.h)
+    parts = morawetz._null_components(w.adot, curvature(w.a).f, frame)
+    return tuple(p * frame.mask[..., None] for p in parts), frame.mask
 
 
 def test_energy_momentum_divergence_refinement():
@@ -89,7 +156,7 @@ def test_energy_momentum_divergence_refinement():
     # check spatial divergence of the momentum row integrates to zero
     w = make_state(seed=4)
     g = w.a.grid
-    T = morawetz.energy_momentum(w)
+    T = energy_momentum(w)
     for alpha in range(5):
         div = sum(g.partial(T[alpha, j], j) for j in range(1, 5))
         assert abs(g.integrate(div)) <= 1e-10 * max(np.max(np.abs(T)), 1e-300)
@@ -97,23 +164,36 @@ def test_energy_momentum_divergence_refinement():
 
 def test_iota_xf_masked_and_dissipation_nonnegative():
     w = make_state(seed=5, t=0.5)
-    iota = morawetz.iota_xf(w, eps=0.5)
     g = w.a.grid
+    vertex, eps = (0.0, 0.0, 0.0, 0.0, 0.0), 0.5
+    iota = iota_xf(w, eps, vertex)
     # sites inside the 2h hyperboloid collar are zeroed
-    x = morawetz._offsets(g, (0.0, 0.0, 0.0, 0.0))
-    r, rho, mask = morawetz._cone_geometry(w.t, x, g.h, 0.5)
+    r, rho, mask = morawetz._cone_geometry(w.t, offsets(g, vertex[1:]), g.h, eps)
     assert np.max(np.abs(iota[:, ~mask])) == 0.0
-    val = morawetz.interior_dissipation(w, 0.5, (0.0, 0.0, 0.0, 0.0, 0.0))
+    val = morawetz.interior_dissipation(morawetz._cone(w, vertex), eps)
+    want = g.integrate(np.where(mask & (r <= w.t), 2.0 * morawetz._sq(iota) / rho, 0.0))
     assert val >= 0.0
+    assert abs(val - want) <= 1e-12 * want
 
 
-def test_weighted_energy_guards():
-    w = make_state(seed=6, t=0.0)
-    with pytest.raises(FieldError):
-        morawetz.weighted_energy(w, (0.0, 0.0, 0.0, 0.0, 0.0), 0.5)  # t == t0
-    w2 = make_state(seed=6, t=10.0)
-    with pytest.raises(FieldError):
-        morawetz.weighted_energy(w2, (0.0, 0.0, 0.0, 0.0, 0.0), 0.5)  # leaves box
+def test_cone_section_guards():
+    origin = (0.0, 0.0, 0.0, 0.0, 0.0)
+    # the 8^4 grid at h = 0.5 has extent 4, so the validity region is |x| + t <= 1
+    cases = [
+        (0.0, origin, "requires t > vertex time"),
+        (-0.5, origin, "requires t > vertex time"),
+        (1.5, origin, "inner half-box"),
+        (0.5, (0.0, 0.0, 0.0, 0.75, 0.0), "inner half-box"),
+    ]
+    for t, vertex, match in cases:
+        with pytest.raises(FieldError, match=match):
+            morawetz._cone(make_state(seed=6, t=t), vertex)
+    # the assembly checks every snapshot it selects, the end ones included
+    for times, match in (((0.0, 0.5), "vertex time"), ((0.5, 1.5), "half-box")):
+        snaps = [make_state(seed=6, t=t) for t in times]
+        with pytest.raises(FieldError, match=match):
+            morawetz.morawetz_identity_residual(snaps, origin, eps=0.5, t1=times[0], t2=times[1])
+    morawetz._cone(make_state(seed=6, t=1.0), origin)  # on the boundary of the region
 
 
 def test_morawetz_identity_residual_small_on_wave_solution():
@@ -147,16 +227,16 @@ def bpst_run():
 
 
 def _reference_report(snaps, vertex, eps):
-    """The identity assembled from the full-grid public functions."""
+    """The identity assembled from the full-grid reference forms."""
     g = snaps[0].a.grid
     t0, x0 = vertex[0], vertex[1:]
-    x = np.stack([g.coordinate_field(j) - x0[j - 1] for j in range(1, 5)])
+    x = offsets(g, x0)
     r = g.radius(center=x0)
 
     def dissipation(w):
         t = w.t - t0
         rc, rho, mask = morawetz._cone_geometry(t, x, g.h, eps)
-        iota = morawetz.iota_xf(w, eps, vertex)
+        iota = iota_xf(w, eps, vertex)
         dens = np.einsum("b...c,b...c->...", iota, iota)
         return g.integrate(np.where(mask & (rc <= abs(t)), 2.0 * dens / rho, 0.0))
 
@@ -164,7 +244,7 @@ def _reference_report(snaps, vertex, eps):
         t = w.t - t0
         rho = np.sqrt(np.maximum((t + eps) ** 2 - r**2, 1e-300))
         X = np.concatenate([((t + eps) / rho)[None], x / rho])
-        P = np.einsum("ab...,b...->a...", morawetz.energy_momentum(w), X)
+        P = np.einsum("ab...,b...->a...", energy_momentum(w), X)
         nhat = x / np.where(r > 0.0, r, 1.0)
         dens = P[0] + np.einsum("j...,j...->...", nhat, P[1:])
         return g.integrate(np.where(np.abs(r - t) <= 0.5 * g.h, dens, 0.0)) / g.h
@@ -174,11 +254,11 @@ def _reference_report(snaps, vertex, eps):
         inside = r <= t
         wp = np.sqrt(np.where(inside, (t + eps + r) / np.maximum(t + eps - r, 1e-300), 1.0))
         wm = 1.0 / wp
-        nc = morawetz.null_decompose(w, center=x0)
+        (alpha, alphabar, varrho, sigma), mask = null_decompose(w, x0)
         sq = lambda v: np.einsum("a...c,a...c->...", v, v)  # noqa: E731
-        good = np.einsum("...c,...c->...", nc.varrho, nc.varrho) + sq(nc.sigma)
-        dens = 0.5 * wp * (sq(nc.alpha) + good) + 0.5 * wm * (sq(nc.alphabar) + good)
-        dens = np.where(nc.mask, dens, 0.5 * (wp + wm) * energy_density(w.curvature()))
+        good = np.einsum("...c,...c->...", varrho, varrho) + sq(sigma)
+        dens = 0.5 * wp * (sq(alpha) + good) + 0.5 * wm * (sq(alphabar) + good)
+        dens = np.where(mask, dens, 0.5 * (wp + wm) * energy_density(w.curvature()))
         return g.integrate(np.where(inside, dens, 0.0))
 
     times = [w.t for w in snaps]
@@ -257,7 +337,7 @@ def _full_grid_report(snaps, vertex, eps):
     radii, gathering the same sites as the windowed assembly."""
     g = snaps[0].a.grid
     t0, x0 = vertex[0], vertex[1:]
-    x = np.stack([g.coordinate_field(j) - x0[j - 1] for j in range(1, 5)])
+    x = offsets(g, x0)
     r = g.radius(center=x0)
     sq = morawetz._sq
 

@@ -1,13 +1,15 @@
 """Every function, class and method in the package has a caller.
 
 Each module-level function and class of ``src/ym4``, and each method of
-those classes, must appear as a word somewhere in ``src/``, ``tests/`` or
-``perfbench/`` outside the lines of its own definition.  Dunder methods are
-called by the language and are exempt.
+those classes, must be referenced somewhere in ``src/``, ``tests/`` or
+``perfbench/`` outside its own definition.  A reference is code: a name
+or attribute that reads it, an import of it, or a string literal that is
+exactly the name (``perfbench/tracer.py`` and ``monkeypatch.setattr`` look
+functions up by name).  A mention in a comment or a docstring is no
+reference.  Dunder methods are called by the language and are exempt.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,14 +28,43 @@ def _definitions(tree):
 
 
 def _span(node):
-    """0-based line range of a definition, decorators included."""
+    """1-based line range of a definition, decorators included."""
     first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-    return first - 1, node.end_lineno
+    return first, node.end_lineno
+
+
+def _references(tree):
+    """(name, line) for each code reference in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def test_comments_and_docstrings_are_no_references():
+    source = """
+from m import imported
+
+def f():
+    \"\"\"in_docstring is named only here.\"\"\"
+    # in_comment
+    local = 1
+    return called(obj.method, "exact_name", "dotted.name")
+"""
+    names = {name for name, _ in _references(ast.parse(source))}
+    assert {"imported", "called", "obj", "method", "exact_name"} <= names
+    assert not {"in_docstring", "in_comment", "local", "dotted", "name"} & names
 
 
 def test_every_definition_has_a_caller():
-    sources = {
-        path: path.read_text().splitlines()
+    refs = {
+        path: list(_references(ast.parse(path.read_text())))
         for top in SEARCHED
         for path in sorted((ROOT / top).rglob("*.py"))
     }
@@ -43,13 +74,11 @@ def test_every_definition_has_a_caller():
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
             lo, hi = _span(node)
             used = any(
-                word.search(line)
-                for src, lines in sources.items()
-                for i, line in enumerate(lines)
-                if not (src == path and lo <= i < hi)
+                ref == name and not (src == path and lo <= line <= hi)
+                for src, found in refs.items()
+                for ref, line in found
             )
             if not used:
                 uncalled.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")

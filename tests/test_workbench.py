@@ -80,7 +80,9 @@ def test_snapshot_roundtrip(tmp_path):
     assert head.kind == snap.KIND_WAVE_STATE
     assert head.components == 8
     assert head.time == 1.25
-    assert np.array_equal(back, arr)
+    assert back.tobytes() == arr.tobytes()
+    assert back.dtype == np.float64
+    assert back.flags.c_contiguous and back.flags.writeable
 
 
 def test_snapshot_corruption_detected(tmp_path):
@@ -99,6 +101,12 @@ def test_snapshot_corruption_detected(tmp_path):
     (tmp_path / "long.ymf").write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(snap.SnapshotError, match="trailing bytes"):
         snap.read_snapshot(tmp_path / "long.ymf")
+    # cut inside the header checksum, which follows the header
+    for extra in range(4):
+        cut = tmp_path / f"crc{extra}.ymf"
+        cut.write_bytes(path.read_bytes()[: snap._HEADER.size + extra])
+        with pytest.raises(snap.SnapshotError, match="truncated header"):
+            snap.read_snapshot(cut)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -290,6 +298,16 @@ def test_cli_input_with_trailing_bytes_is_config_error(tmp_path, capsys):
     path.write_bytes(path.read_bytes() + b"junk")
     assert main(["wave", cfg, "--input", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "trailing bytes" in capsys.readouterr().err
+
+
+def test_cli_input_cut_inside_the_header_checksum_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    g = Grid4(8, 0.5)
+    path = tmp_path / "conn.ymf"
+    snap.write_snapshot(path, np.zeros((4,) + g.shape + (3,)), g, SU2, snap.KIND_CONNECTION)
+    path.write_bytes(path.read_bytes()[: snap._HEADER.size + 2])
+    assert main(["wave", cfg, "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "truncated header" in capsys.readouterr().err
 
 
 def test_cli_wave_takes_its_energies_from_the_step_loop(tmp_path, monkeypatch):
