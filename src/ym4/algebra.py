@@ -49,6 +49,9 @@ _WORKERS = (
 _BLOCKS_PER_THREAD = 4
 _pool: Optional[ThreadPoolExecutor] = None
 
+# largest entry of the antisymmetry and Jacobi defects LieGroupSpec accepts
+SPEC_TOL = 1e-12
+
 
 def _drop_pool() -> None:
     # a forked child has none of the parent's pool threads; a pool carried
@@ -118,14 +121,14 @@ class LieGroupSpec:
         object.__setattr__(self, "structure_constants", c)
         self.validate()
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         c = self.structure_constants
-        if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > tol:
+        if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > SPEC_TOL:
             raise AlgebraError("structure constants not antisymmetric in (a,b)")
         # total antisymmetry <=> bi-invariance of the Euclidean inner product
-        if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > tol:
+        if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > SPEC_TOL:
             raise AlgebraError("structure constants not totally antisymmetric")
-        if self.jacobi_residual() > tol:
+        if self.jacobi_residual() > SPEC_TOL:
             raise AlgebraError("Jacobi identity violated")
 
     @cached_property
@@ -232,17 +235,6 @@ def quat_exp(coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate([w, coeffs * sinc], axis=-1)
 
 
-def quat_log_coeffs(q: np.ndarray) -> np.ndarray:
-    """Inverse of quat_exp: algebra coefficients of a unit quaternion."""
-    q = np.asarray(q, dtype=float)
-    w = np.clip(q[..., :1], -1.0, 1.0)
-    v = q[..., 1:]
-    vn = np.linalg.norm(v, axis=-1, keepdims=True)
-    theta = 2.0 * np.arctan2(vn, w)
-    scale = np.where(vn > 1e-30, theta / np.where(vn > 1e-30, vn, 1.0), 2.0)
-    return v * scale
-
-
 def quat_rotation_matrix(q: np.ndarray) -> np.ndarray:
     """SO(3) matrix rotating algebra coefficients: Ad(q).
 
@@ -316,7 +308,3 @@ def _cross3(x: np.ndarray, y: np.ndarray, acc: Optional[np.ndarray] = None) -> n
     run_blocks(-(-len(o2) // step), work, len(o2))
     return out
 
-
-def inner_arr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pointwise inner product of coefficient arrays (algebra axis last)."""
-    return np.einsum("...a,...a->...", x, y)

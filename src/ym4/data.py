@@ -1,5 +1,4 @@
-"""Initial-data factory: instantons, pure gauges, seeded random data,
-excision.
+"""Initial-data factory: instantons, pure gauges, seeded random data.
 
 The instanton is the regular-gauge su(2) field
 
@@ -96,12 +95,11 @@ def pure_gauge(O: GaugeTransformField) -> ConnectionField:
     return ConnectionField(g, O.spec, a)
 
 
-def smooth_transform(grid: Grid4, spec, seed: int = 0, amplitude: float = 0.5, width: float = None) -> GaugeTransformField:
+def smooth_transform(grid: Grid4, spec, seed: int = 0, amplitude: float = 0.5) -> GaugeTransformField:
     """A smooth, localized gauge transformation exp of a bump-shaped
-    algebra field (deterministic in the seed)."""
+    algebra field of width L/8 (deterministic in the seed)."""
     rng = np.random.default_rng(seed)
-    if width is None:
-        width = grid.extent / 8.0
+    width = grid.extent / 8.0
     r2 = grid.radius() ** 2
     bump = np.exp(-r2 / (2.0 * width**2))
     direction = rng.normal(size=3)
@@ -187,26 +185,3 @@ def random_connection(grid: Grid4, spec, seed: int, amplitude: float = 0.1, k_ba
     )
     return ConnectionField(grid, spec, arr)
 
-
-def excise_data(d: InitialDataSet, radius: float) -> InitialDataSet:
-    """Cut (a, e) off outside the given radius and restore the constraint.
-
-    The cutoff is a smooth radial profile equal to 1 inside radius and 0
-    beyond radius + 4h; the interior contamination (change of e inside
-    radius/2 due to the re-projection) is recorded on the result as
-    ``interior_contamination``.
-    """
-    g = d.a.grid
-    if radius < 8.0 * g.h:
-        raise FieldError("excision radius must be at least 8h")
-    r = g.radius()
-    w = np.clip((radius + 4.0 * g.h - r) / (4.0 * g.h), 0.0, 1.0)
-    window = 0.5 * (1.0 - np.cos(np.pi * w))
-    wf = window[..., None]
-    a_cut = ConnectionField(g, d.a.spec, d.a.a * wf)
-    e_cut = d.e * wf
-    out = gauss_project(a_cut, e_cut)
-    inner = (r <= radius / 2.0)[..., None]
-    diff = (out.e - e_cut) * inner
-    out.interior_contamination = g.l2norm(diff)
-    return out

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import algebra
-from .algebra import LieGroupSpec, quat_conj, quat_mul, quat_normalize, quat_rotation_matrix
+from .algebra import LieGroupSpec, quat_conj, quat_mul, quat_rotation_matrix
 from .grid import Grid4
 
 PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
@@ -24,6 +24,11 @@ _PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 # (*f)_{ij} = (1/2) eps_{ijkl} f_{kl}, eps_{1234} = +1; per stored pair:
 # index k of PAIRS maps to (source index, sign)
 _HODGE = [(5, 1.0), (4, -1.0), (3, 1.0), (2, 1.0), (1, -1.0), (0, 1.0)]
+
+# relative residual at which the covariant CG solve stops, and its
+# iteration budget
+CG_TOL = 1e-12
+CG_MAX_ITER = 400
 
 
 class FieldError(ValueError):
@@ -95,20 +100,8 @@ class GaugeTransformField:
         if self.q.shape != self.grid.shape + (4,):
             raise FieldError("quaternion field shape mismatch")
 
-    def unitarity_residual(self) -> float:
-        return float(np.max(np.abs(np.sum(self.q**2, axis=-1) - 1.0)))
-
-    def renormalized(self) -> "GaugeTransformField":
-        return GaugeTransformField(self.grid, self.spec, quat_normalize(self.q))
-
     def inverse(self) -> "GaugeTransformField":
         return GaugeTransformField(self.grid, self.spec, quat_conj(self.q))
-
-
-def identity_transform(grid: Grid4, spec: LieGroupSpec) -> GaugeTransformField:
-    q = np.zeros(grid.shape + (4,))
-    q[..., 0] = 1.0
-    return GaugeTransformField(grid, spec, q)
 
 
 # -- differential operations -------------------------------------------------
@@ -222,16 +215,6 @@ def self_dual_residual(F: CurvatureField) -> float:
     return float(np.linalg.norm(F.f - dual.f) / np.linalg.norm(F.f))
 
 
-def bogomolnyi_residual(F: CurvatureField) -> np.ndarray:
-    """Pointwise (1/2)<f_ij, f^ij> - |charge density| >= 0."""
-    return energy_density(CurvatureField(F.grid, F.spec, F.f)) - np.abs(chi_density(F))
-
-
-def harmonic_residual(a: ConnectionField) -> float:
-    """L2 norm of the static tension D^j f_{jk}."""
-    return a.grid.l2norm(curvature_tension(a))
-
-
 # -- constraint handling -----------------------------------------------------
 
 
@@ -239,7 +222,7 @@ def gauss_residual(d: InitialDataSet) -> float:
     return d.a.grid.l2norm(covariant_divergence(d.a, d.e))
 
 
-def _pcg(apply_op, apply_pre, b, tol, max_iter):
+def _pcg(apply_op, apply_pre, b):
     """Preconditioned CG on a flat-indexed SPD operator; plain numpy sums."""
     x = np.zeros_like(b)
     r = b.copy()
@@ -249,13 +232,13 @@ def _pcg(apply_op, apply_pre, b, tol, max_iter):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return x, 0.0
-    for _ in range(max_iter):
+    for _ in range(CG_MAX_ITER):
         Ap = apply_op(p)
         alpha = rz / float(np.sum(p * Ap))
         x += alpha * p
         r -= alpha * Ap
         res = float(np.linalg.norm(r)) / bnorm
-        if res <= tol:
+        if res <= CG_TOL:
             return x, res
         z = apply_pre(r)
         rz_new = float(np.sum(r * z))
@@ -264,13 +247,7 @@ def _pcg(apply_op, apply_pre, b, tol, max_iter):
     return x, float(np.linalg.norm(r)) / bnorm
 
 
-def covariant_poisson(
-    a: ConnectionField,
-    rhs: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 400,
-    deflate: bool = False,
-) -> np.ndarray:
+def covariant_poisson(a: ConnectionField, rhs: np.ndarray, deflate: bool = False) -> np.ndarray:
     """Solve D^j D_j phi = rhs for an algebra-valued potential phi.
 
     Preconditioned conjugate gradient on the (negated, positive) covariant
@@ -319,18 +296,13 @@ def covariant_poisson(
         return np.real(g.ifft(rhat))
 
     b_vec = project(-rhs) if deflate else -rhs
-    phi, res = _pcg(apply_op, apply_pre, b_vec, tol, max_iter)
+    phi, res = _pcg(apply_op, apply_pre, b_vec)
     if res > 1e-8:
         raise FieldError(f"covariant elliptic solve stalled at relative residual {res:.3e}")
     return phi
 
 
-def gauss_project(
-    a: ConnectionField,
-    e_raw: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 400,
-) -> InitialDataSet:
+def gauss_project(a: ConnectionField, e_raw: np.ndarray) -> InitialDataSet:
     """Project e_raw onto the Gauss-constraint surface.
 
     Solves D^j D_j phi = D^j e_raw_j and returns e = e_raw - D phi.
@@ -344,7 +316,7 @@ def gauss_project(
         out = InitialDataSet(a, np.array(e_raw, dtype=float, copy=True))
         out.constraint_residual = gauss_residual(out)
         return out
-    phi = covariant_poisson(a, div_e, tol=tol, max_iter=max_iter)
+    phi = covariant_poisson(a, div_e)
     e = np.empty_like(e_raw)
     for j in range(1, 5):
         e[j - 1] = e_raw[j - 1] - covariant_derivative(a, phi, j)
@@ -391,38 +363,3 @@ def concentration_scale(
         if _ball_energy_max(d.a.grid, dens_hat, r) <= threshold:
             best = r
     return best
-
-
-def outer_concentration_radius(d: InitialDataSet, eps: float) -> float:
-    """Smallest ladder radius whose best ball captures all but eps of the energy."""
-    F = curvature(d.a)
-    F.e = d.e
-    dens = energy_density(F)
-    total = d.a.grid.integrate(dens)
-    dens_hat = d.a.grid.fft(dens)
-    for r in _radius_ladder(d.a.grid):
-        if _ball_energy_max(d.a.grid, dens_hat, r) >= total - eps:
-            return r
-    return d.a.grid.extent / 4.0
-
-
-# -- rescaling ---------------------------------------------------------------
-
-
-def rescale_field(a: ConnectionField, r: float, center=(0.0, 0.0, 0.0, 0.0)) -> ConnectionField:
-    """a'(x) = r * a(center + r x), resampled by Fourier interpolation."""
-    if r <= 0:
-        raise FieldError("rescale factor must be positive")
-    g = a.grid
-    out = np.empty_like(a.a)
-    for j in range(4):
-        out[j] = r * g.fourier_resample(a.a[j], r, center)
-    result = ConnectionField(g, a.spec, out)
-    peak = float(np.max(np.abs(out)))
-    if peak > 0.0:
-        edge = np.concatenate(
-            [np.abs(np.take(out, [0, 1, g.n - 2, g.n - 1], axis=ax)).ravel() for ax in (1, 2, 3, 4)]
-        )
-        if float(np.max(edge)) > 1e-3 * peak:
-            raise FieldError("rescaled support overflows the box")
-    return result

@@ -273,30 +273,3 @@ class Grid4:
     def l2norm(self, f: np.ndarray) -> float:
         """L2(dx) norm; trailing component axes are summed in quadrature."""
         return float(np.sqrt(np.sum(np.asarray(f) ** 2) * self.h**4))
-
-    # -- band-limited resampling -------------------------------------------
-
-    def fourier_resample(self, f: np.ndarray, scale: float, center) -> np.ndarray:
-        """Sample the band-limited interpolant of f at center + scale * x.
-
-        The target points form a uniform grid, so the evaluation is separable:
-        one n x n complex evaluation matrix per axis, contracted in sequence.
-        Trailing component axes pass through.
-        """
-        self._require_periodic("fourier_resample")
-        fhat = self.fft(f) / self.n**4
-        kappa = self.wavenumbers1d()
-        y = self.coords1d()
-        out = fhat
-        for ax in range(4):
-            j = 4 - ax
-            x_eval = center[j - 1] + scale * y
-            # the FFT phases are relative to the first sample at -L/2
-            phase = x_eval + self.extent / 2.0
-            emat = np.exp(1j * np.outer(kappa, phase))
-            # real interpolant: the Nyquist mode is the cosine, not e^{i kappa x}
-            # (its sine partner is invisible to the samples); this keeps
-            # lattice-aligned evaluations exact
-            emat[self.n // 2, :] = np.cos(kappa[self.n // 2] * phase)
-            out = np.moveaxis(np.tensordot(emat, out, axes=(0, ax)), 0, ax)
-        return np.real(out)

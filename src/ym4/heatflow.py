@@ -27,6 +27,7 @@ from .gaugefield import (
 from .stepping import march
 
 STABILITY_FACTOR = 0.2  # max ds / h^2 for the explicit fourth-order stencil
+FLATNESS_TOL = 1e-2  # max |F|_2 of a connection flat_trivialize accepts
 
 
 @dataclass
@@ -184,11 +185,7 @@ def caloric_size(a: ConnectionField, p: HeatParams) -> tuple:
     return traj.caloric_size_accum, traj.tail_flagged
 
 
-def flat_trivialize(
-    a_flat: ConnectionField,
-    flatness_tol: float = 1e-2,
-    path_tol: Optional[float] = None,
-) -> GaugeTransformField:
+def flat_trivialize(a_flat: ConnectionField) -> GaugeTransformField:
     """Solve partial_j O = O a_j along lattice paths from the box corner.
 
     Path order: x1 sweep on the corner line, then x2, x3, x4, each sweep
@@ -201,17 +198,18 @@ def flat_trivialize(
     The returned O satisfies a_j = O^{-1} partial_j O up to O(h^4) +
     holonomy, and O(corner) = Id.
 
-    The path-dependence (plaquette) residual is checked against path_tol
-    (auto-scaled when not given); non-flat or holonomy-contaminated inputs
-    fail here instead of silently producing a path-dependent answer.
+    The input must have |F|_2 <= FLATNESS_TOL, and its path-dependence
+    (plaquette) residual is checked against a tolerance scaled by h^2 and
+    the sizes of a and F; non-flat or holonomy-contaminated inputs fail
+    here instead of silently producing a path-dependent answer.
     """
     if not a_flat.spec.is_su2:
         raise FieldError("flat trivialization implemented for su(2) fields")
     g = a_flat.grid
     F = curvature(a_flat)
     f_l2 = float(np.linalg.norm(F.f)) * g.h**2
-    if f_l2 > flatness_tol:
-        raise FieldError(f"input not flat: |F|_2 = {f_l2:.3e} > {flatness_tol:.3e}")
+    if f_l2 > FLATNESS_TOL:
+        raise FieldError(f"input not flat: |F|_2 = {f_l2:.3e} > {FLATNESS_TOL:.3e}")
 
     h = g.h
     q = np.zeros(g.shape + (4,))
@@ -267,8 +265,7 @@ def flat_trivialize(
     resid = _plaquette_residual(a_flat)
     amax = float(np.max(np.abs(a_flat.a)))
     f_inf = float(np.sqrt(np.max(energy_density(F))))
-    if path_tol is None:
-        path_tol = 100.0 * h * h * max(1.0, amax) ** 2 + 100.0 * h * h * f_inf + 1e-8
+    path_tol = 100.0 * h * h * max(1.0, amax) ** 2 + 100.0 * h * h * f_inf + 1e-8
     if resid > path_tol:
         raise FieldError(
             f"path-dependence residual {resid:.3e} exceeds {path_tol:.3e} "
@@ -296,7 +293,7 @@ def _plaquette_residual(a: ConnectionField) -> float:
     return worst
 
 
-def caloric_project(a: ConnectionField, p: HeatParams, flatness_tol: float = 1e-2):
+def caloric_project(a: ConnectionField, p: HeatParams):
     """Gauge-transform a into its caloric representative.
 
     Runs the heat flow to its flat terminal connection, trivializes the
@@ -305,7 +302,7 @@ def caloric_project(a: ConnectionField, p: HeatParams, flatness_tol: float = 1e-
     Returns (caloric connection, gauge transform, trajectory).
     """
     traj = run_heat(a, p)
-    O = flat_trivialize(traj.terminal, flatness_tol=flatness_tol)
+    O = flat_trivialize(traj.terminal)
     a_cal = gauge_transform(a, O)
     return a_cal, O, traj
 

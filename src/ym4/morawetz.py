@@ -236,18 +236,24 @@ class _Cone:
     r: np.ndarray  # (m, m, m, m)
 
 
-def _cone(w: WaveState, vertex) -> _Cone:
-    """Cut w to the cone window of radius t + h/2 and build its curvature.
+def cone_time(g: Grid4, vertex, t: float) -> float:
+    """Time since the vertex of the cone section at time t.
 
-    The cone section must start after the vertex and stay inside the inner
-    half-box validity region.
+    The section must start after the vertex and stay inside the inner
+    half-box validity region of g.
     """
-    g = w.a.grid
-    t = w.t - vertex[0]
+    t = t - vertex[0]
     if t <= 0:
         raise FieldError("cone section requires t > vertex time")
     if max(abs(c) for c in vertex[1:]) + t > g.extent / 4.0 + 1e-12:
         raise FieldError("cone section leaves the inner half-box validity region")
+    return t
+
+
+def _cone(w: WaveState, vertex) -> _Cone:
+    """Cut w to the cone window of radius t + h/2 and build its curvature."""
+    g = w.a.grid
+    t = cone_time(g, vertex, w.t)
     cut = _window(g, vertex[1:], t + 0.5 * g.h)
     if cut is None:
         a, e, cut = w.a, w.adot, _WHOLE

@@ -1,6 +1,6 @@
 """Fourier-side diagnostics: Littlewood-Paley blocks, energy dispersion,
-Leray projection, the bilinear null-form symbol Q, and the quadratic
-temporal-potential consistency check.
+the bilinear null-form symbol Q, and the quadratic temporal-potential
+consistency check.
 
 The Q form acts on two 4-vectors of algebra-valued fields as the bilinear
 multiplier
@@ -151,29 +151,6 @@ def ed_norm_truncated(F: CurvatureField, m: int, blocks: Optional[LPBlockSet] = 
     return sup_above(lp_block_sups(F, blocks, m + 1), m)
 
 
-# -- Leray projection --------------------------------------------------------
-
-
-def leray_project(g: Grid4, v: np.ndarray) -> np.ndarray:
-    """Project a 4-vector field (4, n,n,n,n, d) onto its divergence-free
-    part, using the grid's own first-derivative symbols so that the discrete
-    divergence of the output vanishes on all nonzero-symbol modes."""
-    s = [g.deriv_symbol(j) for j in range(1, 5)]
-    s2 = -g.laplace_symbol()
-    vhat = np.stack([g.fft(v[j]) for j in range(4)])
-    div = np.zeros_like(vhat[0])
-    for j in range(4):
-        div = div + s[j][..., None] * vhat[j]
-    safe = np.where(s2 > 0.0, s2, 1.0)[..., None]
-    out = np.empty_like(v)
-    for j in range(4):
-        proj = vhat[j] - np.where(
-            (s2 > 0.0)[..., None], s[j][..., None] * div / safe, 0.0
-        )
-        out[j] = np.real(g.ifft(proj))
-    return out
-
-
 # -- the Q bilinear form -----------------------------------------------------
 
 
@@ -311,12 +288,7 @@ def tangency_enforce(g: Grid4, spec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return np.stack([b0[j - 1] + g.partial(psi, j) for j in range(1, 5)])
 
 
-def a0_quadratic_check(
-    a_shape: ConnectionField,
-    b_shape: np.ndarray,
-    eps_sweep: List[float],
-    renormalize: bool = True,
-):
+def a0_quadratic_check(a_shape: ConnectionField, b_shape: np.ndarray, eps_sweep: List[float]):
     """Cubic-remainder check for the quadratic temporal potential.
 
     For each amplitude eps the tangent field is renormalized so the pair
@@ -337,9 +309,7 @@ def a0_quadratic_check(
     residuals = []
     for eps in eps_sweep:
         a_eps = ConnectionField(g, spec, eps * a_shape.a)
-        b_eps = eps * b_shape
-        if renormalize:
-            b_eps = tangency_enforce(g, spec, a_eps.a, b_eps)
+        b_eps = tangency_enforce(g, spec, a_eps.a, eps * b_shape)
         # deflated solve: on the torus the covariant Laplacian is nearly
         # singular on the flat-kernel modes, and the explicit bilinear form
         # is built from the spectral inverse which zeroes exactly those

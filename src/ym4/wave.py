@@ -1,4 +1,4 @@
-"""Temporal-gauge hyperbolic evolution and cone-energy accounting.
+"""Temporal-gauge hyperbolic evolution.
 
 With a vanishing temporal component the spatial connection obeys
 
@@ -6,7 +6,10 @@ With a vanishing temporal component the spatial connection obeys
 
 integrated by kick-drift-kick leapfrog on (a, adot), where adot_j is the
 electric field F_{0j}.  The Gauss residual |D^j adot_j|_2 is recorded at
-every accepted step.
+every accepted step; run_wave keeps every snapshot_stride-th state with its
+energy and raises a blow-up signal on non-finite values or a runaway
+energy-density peak.  The Morawetz identity over these states is assembled
+in ym4.morawetz.
 """
 
 from __future__ import annotations
@@ -16,13 +19,10 @@ from typing import List
 
 import numpy as np
 
-from . import algebra
 from .errors import BlowUpError
 from .gaugefield import (
     ConnectionField,
     CurvatureField,
-    FieldError,
-    GaugeTransformField,
     InitialDataSet,
     covariant_divergence,
     curvature,
@@ -122,56 +122,3 @@ def run_wave(d: InitialDataSet, p: WaveParams) -> List[WaveState]:
         raise
     return snapshots
 
-
-# -- cone energies -----------------------------------------------------------
-
-
-def cone_energy(w: WaveState, vertex, gamma: float = 1.0) -> float:
-    """Energy in the ball |x - x0| <= gamma |t - t0| of the cone section."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    g = w.a.grid
-    t0, x0 = vertex[0], vertex[1:]
-    r = gamma * abs(w.t - t0)
-    if max(abs(c) for c in x0) + r > g.extent / 4.0 + 1e-12:
-        raise FieldError("cone section leaves the inner half-box validity region")
-    dens = energy_density(w.curvature())
-    mask = g.radius(center=x0) <= r
-    return g.integrate(dens * mask)
-
-
-# -- gauge transport ---------------------------------------------------------
-
-
-def temporal_gauge_transport(
-    a0_series: List[np.ndarray],
-    O_init: GaugeTransformField,
-    dt: float,
-) -> List[GaugeTransformField]:
-    """Integrate dO/dt = O * A0 per site by classical RK4.
-
-    a0_series must be sampled at spacing dt/2 (t, t + dt/2, t + dt, ...);
-    each RK4 step consumes three consecutive samples.  Returns the group
-    field at every full node, unitarity-renormalized.
-    """
-    if len(a0_series) < 3 or len(a0_series) % 2 == 0:
-        raise ValueError("a0_series must hold 2*n_steps + 1 half-step samples")
-    g = O_init.grid
-    spec = O_init.spec
-
-    def times_algebra(q, a0):
-        # right-multiply by the algebra element: q * (0, a0 / 2)
-        half = np.concatenate([np.zeros(a0.shape[:-1] + (1,)), 0.5 * a0], axis=-1)
-        return algebra.quat_mul(q, half)
-
-    out = [O_init]
-    q = O_init.q
-    for a0_0, a0_m, a0_1 in zip(a0_series[:-1:2], a0_series[1::2], a0_series[2::2]):
-        k1 = times_algebra(q, a0_0)
-        k2 = times_algebra(q + 0.5 * dt * k1, a0_m)
-        k3 = times_algebra(q + 0.5 * dt * k2, a0_m)
-        k4 = times_algebra(q + dt * k3, a0_1)
-        q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        q = algebra.quat_normalize(q)
-        out.append(GaugeTransformField(g, spec, q))
-    return out

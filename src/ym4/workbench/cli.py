@@ -7,8 +7,9 @@ output directory, so a rejected config, input or parameter leaves none.  The
 subcommand writes its .csv and .ymf files, and the frame writes report.json.
 
 Exit codes: 0 ok, 2 configuration error (among them a number that is not
-finite and a vector of the wrong length), 3 invariant violation, 4 blow-up
-signal.  On exit 3 or 4 once the output directory exists, report.json
+finite, a vector of the wrong length, and a Morawetz vertex at or after t1
+or whose cone at t2 leaves the inner half-box), 3 invariant violation, 4
+blow-up signal.  On exit 3 or 4 once the output directory exists, report.json
 carries the message under invariant_violation or blow_up; after a blow-up
 the flow's CSV holds the rows it sampled before the signal.
 
@@ -373,6 +374,11 @@ def cmd_morawetz(cfg, grid, spec, d, p, outdir) -> dict:
     vertex = cfg.get_floats("diagnostics", "vertex", default=(0.0, 0.0, 0.0, 0.0, 0.0), length=5)
     t1 = cfg.get("diagnostics", "t1", cast=float)
     t2 = cfg.get("diagnostics", "t2", cast=float)
+    try:
+        for t in (t1, t2):
+            morawetz.cone_time(grid, vertex, t)
+    except FieldError as err:
+        raise ConfigError(str(err)) from err
     snapshots = wave.run_wave(d, p)
     m = morawetz.morawetz_identity_residual(snapshots, vertex, eps, t1, t2)
     _write_csv(

@@ -1,11 +1,13 @@
 """Binary field snapshot format.
 
-Layout (little endian):
+Layout (little endian), version 2:
   magic "YMF1" (4 bytes) | version u16 | group id u16 | n u32 | h f64 |
   kind u8 | component count u8 | time f64 | CRC32 of the preceding bytes u32
-followed by the payload: f64 array, site-major with index order
-(x4 slowest, x3, x2, x1, form index, algebra index).  Nothing follows the
-payload; a file with trailing bytes is rejected.
+followed by the payload, an f64 array, site-major with index order
+(x4 slowest, x3, x2, x1, form index, algebra index), and the CRC32 of the
+payload bytes u32.  Nothing follows; a file with trailing bytes is
+rejected.  Version 1 files, which end with the payload and carry no
+payload CRC, are still read.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from ..algebra import LieGroupSpec, abelian, su2
 from ..grid import Grid4
 
 MAGIC = b"YMF1"
-VERSION = 1
+VERSION = 2
 
 KIND_CONNECTION = 0
 KIND_CURVATURE = 1
@@ -76,7 +78,8 @@ def write_snapshot(path, arr: np.ndarray, grid: Grid4, spec: LieGroupSpec, kind:
     with open(path, "wb") as fh:
         fh.write(head)
         fh.write(struct.pack("<I", crc))
-        fh.write(payload.tobytes())
+        fh.write(payload)
+        fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
 def read_snapshot(path):
@@ -88,7 +91,7 @@ def read_snapshot(path):
         magic, version, gid, n, h, kind, comps, time = _HEADER.unpack(head)
         if magic != MAGIC:
             raise SnapshotError(f"bad magic {magic!r}")
-        if version != VERSION:
+        if version not in (1, VERSION):
             raise SnapshotError(f"unsupported version {version}")
         raw_crc = fh.read(4)
         if len(raw_crc) != 4:
@@ -101,6 +104,12 @@ def read_snapshot(path):
         raw = fh.read(count * 8)
         if len(raw) != count * 8:
             raise SnapshotError("truncated payload")
+        if version >= 2:
+            raw_crc = fh.read(4)
+            if len(raw_crc) != 4:
+                raise SnapshotError("truncated payload checksum")
+            if struct.unpack("<I", raw_crc)[0] != (zlib.crc32(raw) & 0xFFFFFFFF):
+                raise SnapshotError("payload checksum mismatch")
         if fh.read(1):
             raise SnapshotError("trailing bytes after the payload")
     data = np.frombuffer(raw, dtype="<f8").reshape((n, n, n, n, comps, spec.dim))

@@ -1,0 +1,32 @@
+"""Reference helpers the unit tests check ym4's kernels against.
+
+They are plain numpy restatements of textbook definitions, kept beside the
+tests because no part of ym4 needs them.
+"""
+
+import numpy as np
+
+from ym4.gaugefield import GaugeTransformField
+
+
+def inner_arr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pointwise inner product of coefficient arrays (algebra axis last)."""
+    return np.einsum("...a,...a->...", x, y)
+
+
+def quat_log_coeffs(q: np.ndarray) -> np.ndarray:
+    """Inverse of quat_exp: algebra coefficients of a unit quaternion."""
+    q = np.asarray(q, dtype=float)
+    w = np.clip(q[..., :1], -1.0, 1.0)
+    v = q[..., 1:]
+    vn = np.linalg.norm(v, axis=-1, keepdims=True)
+    theta = 2.0 * np.arctan2(vn, w)
+    scale = np.where(vn > 1e-30, theta / np.where(vn > 1e-30, vn, 1.0), 2.0)
+    return v * scale
+
+
+def identity_transform(grid, spec) -> GaugeTransformField:
+    """The gauge transformation equal to the group identity at every site."""
+    q = np.zeros(grid.shape + (4,))
+    q[..., 0] = 1.0
+    return GaugeTransformField(grid, spec, q)

@@ -9,11 +9,12 @@ from ym4.gaugefield import (
     chi,
     curvature,
     gauss_residual,
-    identity_transform,
     self_dual_residual,
     static_energy,
 )
 from ym4.grid import Grid4
+
+from oracles import identity_transform
 
 SU2 = algebra.su2()
 
@@ -110,17 +111,3 @@ def test_random_data_band_limit_and_window_support():
     outside = g.radius() > g.extent / 4.0 + 1e-9
     assert np.max(np.abs(d.a.a)) > 0.0
     assert np.max(np.abs(dw.a.a[:, outside])) == 0.0
-
-
-def test_excise_guards_and_support():
-    g = Grid4(16, 0.5)
-    d = data.random_data(g, SU2, seed=11, amplitude=0.05, k_band=1, window=True)
-    with pytest.raises(FieldError):
-        data.excise_data(d, 2.0)  # < 8h
-    out = data.excise_data(d, 4.0)
-    r = g.radius()
-    far = r > 4.0 + 4.0 * g.h + 1e-9
-    assert np.max(np.abs(out.a.a[:, far])) == 0.0
-    scale = max(g.l2norm(out.e), 1e-300)
-    assert gauss_residual(out) <= 1e-7 * scale
-    assert out.interior_contamination >= 0.0

@@ -179,19 +179,6 @@ def test_open_boundary_blocks_spectral_ops():
         g.laplace_inverse(np.zeros(g.shape))
 
 
-def test_fourier_resample_identity_and_shift():
-    g = Grid4(8, 0.5)
-    k = 2.0 * np.pi / g.extent
-    x = g.coordinate_field(1)
-    f = np.cos(k * x) + 0.3 * np.sin(2 * k * x)
-    same = g.fourier_resample(f, 1.0, (0.0, 0.0, 0.0, 0.0))
-    assert np.max(np.abs(same - f)) <= 1e-12
-    # scale-2 evaluation of the interpolant is the analytic composition
-    scaled = g.fourier_resample(f, 2.0, (0.0, 0.0, 0.0, 0.0))
-    want = np.cos(k * 2 * x) + 0.3 * np.sin(2 * k * 2 * x)
-    assert np.max(np.abs(scaled - want)) <= 1e-12
-
-
 def test_reductions_deterministic_repeat():
     g = Grid4(8, 0.5)
     rng = np.random.default_rng(4)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ym4 import algebra, data, wave
+from ym4 import algebra, data
 from ym4.errors import BlowUpError
-from ym4.gaugefield import ConnectionField, FieldError, InitialDataSet, zero_connection
+from ym4.gaugefield import ConnectionField, InitialDataSet, zero_connection
 from ym4.grid import Grid4
 from ym4.wave import WaveParams, WaveState, run_wave, wave_step
 
@@ -103,21 +103,6 @@ def test_nan_energy_density_peak_is_blow_up(nan_density_peak):
     assert [w.t for w in err.value.partial] == [0.0]
 
 
-def test_cone_energy_monotone_in_gamma_and_guards():
-    g = Grid4(16, 0.25)
-    d = data.random_data(g, SU2, seed=3, amplitude=0.05, k_band=2)
-    snaps = run_wave(d, WaveParams(dt=0.05, t_end=0.5))
-    w = snaps[-1]
-    vertex = (-0.25, 0.0, 0.0, 0.0, 0.0)
-    e_half = wave.cone_energy(w, vertex, gamma=0.5)
-    e_full = wave.cone_energy(w, vertex, gamma=1.0)
-    assert 0.0 <= e_half <= e_full + 1e-12
-    with pytest.raises(ValueError):
-        wave.cone_energy(w, vertex, gamma=1.5)
-    with pytest.raises(FieldError):
-        wave.cone_energy(w, (-10.0, 0.0, 0.0, 0.0, 0.0))
-
-
 def test_finite_speed_exterior_leak():
     # compactly supported data: after time t the field outside r = R + t
     # plus a dispersive skirt (~8h for the fourth-order stencil) vanishes
@@ -141,23 +126,6 @@ def test_finite_speed_exterior_leak():
     far = r > R + t_end + 8.0 * g.h
     assert np.max(amp[near]) <= 1e-3 * scale
     assert np.max(amp[far]) <= 1e-10 * scale
-
-
-def test_temporal_gauge_transport_constant_potential():
-    # constant A0: O(t) = O(0) exp(t A0); check against the closed form
-    g = small_grid()
-    from ym4.gaugefield import identity_transform
-
-    a0 = np.zeros(g.shape + (3,))
-    a0[..., 2] = 0.3
-    dt = 0.1
-    n_steps = 5
-    series = [a0] * (2 * n_steps + 1)
-    out = wave.temporal_gauge_transport(series, identity_transform(g, SU2), dt)
-    want = algebra.quat_exp((n_steps * dt) * a0)
-    assert np.max(np.abs(out[-1].q - want)) <= 1e-10
-    with pytest.raises(ValueError):
-        wave.temporal_gauge_transport([a0, a0], identity_transform(g, SU2), dt)
 
 
 def test_run_wave_shares_and_leaves_the_initial_electric_field():

@@ -4,8 +4,10 @@ import ast
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +111,41 @@ def test_snapshot_corruption_detected(tmp_path):
             snap.read_snapshot(cut)
 
 
+def test_snapshot_payload_checksum(tmp_path, capsys):
+    g = Grid4(8, 0.5)
+    arr = np.zeros((4,) + g.shape + (3,))
+    path = tmp_path / "state.ymf"
+    snap.write_snapshot(path, arr, g, SU2, snap.KIND_CONNECTION, 0.0)
+    blob = bytearray(path.read_bytes())
+    assert len(blob) == snap._HEADER.size + 4 + arr.nbytes + 4
+    blob[snap._HEADER.size + 4 + arr.nbytes // 2] ^= 0x01  # flip a payload bit
+    (tmp_path / "bad.ymf").write_bytes(bytes(blob))
+    with pytest.raises(snap.SnapshotError, match="payload checksum mismatch"):
+        snap.read_snapshot(tmp_path / "bad.ymf")
+    (tmp_path / "short.ymf").write_bytes(path.read_bytes()[:-2])
+    with pytest.raises(snap.SnapshotError, match="truncated payload checksum"):
+        snap.read_snapshot(tmp_path / "short.ymf")
+    argv = ["wave", write_cfg(tmp_path), "--input", str(tmp_path / "bad.ymf"), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "payload checksum mismatch" in capsys.readouterr().err
+
+
+def test_snapshot_version_1_still_loads(tmp_path):
+    # version 1: the same header, then the payload with no checksum after it
+    g = Grid4(8, 0.5)
+    arr = np.random.default_rng(1).normal(size=(4,) + g.shape + (3,))
+    head = snap._HEADER.pack(snap.MAGIC, 1, snap.GROUP_SU2, 8, 0.5, snap.KIND_CONNECTION, 4, 0.75)
+    payload = np.ascontiguousarray(np.moveaxis(arr, 0, 4), dtype="<f8").tobytes()
+    path = tmp_path / "v1.ymf"
+    path.write_bytes(head + struct.pack("<I", zlib.crc32(head)) + payload)
+    head_back, back = snap.read_snapshot(path)
+    assert (head_back.kind, head_back.components, head_back.time) == (snap.KIND_CONNECTION, 4, 0.75)
+    assert back.tobytes() == arr.tobytes()
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(snap.SnapshotError, match="trailing bytes"):
+        snap.read_snapshot(path)
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -198,7 +235,9 @@ def test_cli_blowup_exit_code(tmp_path):
 
 def test_cli_morawetz_blowup_writes_report(tmp_path, capsys):
     cfg = tmp_path / "blow.cfg"
-    cfg.write_text(WAVE_BLOWUP_CFG + "[diagnostics]\nt1 = 0\nt2 = 4\n")
+    # a cone inside the inner half-box, so the flow runs (to [wave] t_end)
+    diagnostics = "[diagnostics]\nvertex = -0.5, 0, 0, 0, 0\nt1 = 0\nt2 = 0.5\n"
+    cfg.write_text(WAVE_BLOWUP_CFG + diagnostics)
     out = tmp_path / "o"
     with np.errstate(all="ignore"):
         assert main(["morawetz", str(cfg), "--out", str(out)]) == 4
@@ -471,6 +510,18 @@ def _no_flow(*args, **kwargs):
         ("gen-data", "kind = random", "kind = bpst\ncenter = 0, 0, 0", "takes 4 numbers"),
         ("morawetz", "[wave]", "[diagnostics]\nt1 = 0\nt2 = 0.5\nvertex = -1, 0, 0\n[wave]", "takes 5"),
         ("morawetz", "[wave]", "[diagnostics]\nt1 = 0\nt2 = 0.5\neps = -1\n[wave]", "eps"),
+        (
+            "morawetz",
+            "[wave]",
+            "[diagnostics]\nt1 = 0\nt2 = 0.5\nvertex = 0, 0, 0, 0, 0\n[wave]",
+            "cone section requires t > vertex time",
+        ),
+        (
+            "morawetz",
+            "[wave]",
+            "[diagnostics]\nt1 = 0\nt2 = 0.5\nvertex = -1, 0, 0, 0, 0\n[wave]",
+            "cone section leaves the inner half-box validity region",
+        ),
         ("gen-data", "[wave]", "[diagnostics]\neps = -1\n[wave]", "eps"),
         ("gen-data", "[wave]", "[diagnostics]\neps = nan\n[wave]", "eps"),
     ],
