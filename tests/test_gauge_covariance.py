@@ -7,7 +7,11 @@ bracket is Ad-equivariant, so on the grid, up to rounding,
 
     curvature(gauge_transform(a, O)) = Ad(O) curvature(a),
 
-and the energy density, a sum of squared norms, is unchanged.  These are
+and the energy density, a sum of squared norms, is unchanged.  For the
+same reason the covariant derivatives D_j = partial_j + [a_j, .] commute
+with Ad(O): the Yang-Mills tension and the covariant divergence of an
+Ad(O)-rotated field are rotated by Ad(O), and the topological charge
+density, a pairing of f with its Hodge dual, is unchanged.  These are
 exact identities of the discrete scheme, checked on random connections
 on periodic and open n = 8 grids.
 """
@@ -20,7 +24,10 @@ from ym4 import algebra
 from ym4.gaugefield import (
     ConnectionField,
     GaugeTransformField,
+    chi_density,
+    covariant_divergence,
     curvature,
+    curvature_tension,
     energy_density,
     gauge_transform,
 )
@@ -50,11 +57,15 @@ def _transformed(boundary, h, amplitude, seed):
     return a, algebra.quat_rotation_matrix(q), gauge_transform(a, O)
 
 
+def _rotate(rot, v):
+    return np.einsum("ab,...b->...a", rot, v)
+
+
 @SETTINGS
 @given(case=cases)
 def test_curvature_is_gauge_covariant(case):
     a, rot, moved = _transformed(**case)
-    want = np.einsum("ab,...b->...a", rot, curvature(a).f)
+    want = _rotate(rot, curvature(a).f)
     got = curvature(moved).f
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -66,3 +77,33 @@ def test_energy_density_is_gauge_invariant(case):
     want = energy_density(curvature(a))
     got = energy_density(curvature(moved))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+@SETTINGS
+@given(case=cases)
+def test_curvature_tension_is_gauge_covariant(case):
+    a, rot, moved = _transformed(**case)
+    want = _rotate(rot, curvature_tension(a))
+    got = curvature_tension(moved)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@SETTINGS
+@given(case=cases)
+def test_covariant_divergence_is_gauge_covariant(case):
+    a, rot, moved = _transformed(**case)
+    v = np.random.default_rng(case["seed"] + 1).normal(size=a.a.shape)
+    want = _rotate(rot, covariant_divergence(a, v))
+    got = covariant_divergence(moved, _rotate(rot, v))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@SETTINGS
+@given(case=cases)
+def test_chi_density_is_gauge_invariant(case):
+    a, _, moved = _transformed(**case)
+    F = curvature(a)
+    want = chi_density(F)
+    got = chi_density(curvature(moved))
+    # |<f, *f>| <= |f|^2 sitewise, so the energy density bounds the scale
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(energy_density(F))

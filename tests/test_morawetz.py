@@ -196,6 +196,18 @@ def test_cone_section_guards():
     morawetz._cone(make_state(seed=6, t=1.0), origin)  # on the boundary of the region
 
 
+def test_cone_time_is_the_time_since_the_vertex():
+    g = Grid4(8, 0.5)  # extent 4: the validity region is |x| + t <= 1
+    assert morawetz.cone_time(g, (0.25, 0.0, 0.0, 0.0, 0.0), 0.75) == 0.5
+    # the box check uses the time since the vertex, not t itself
+    assert morawetz.cone_time(g, (0.5, 0.0, 0.0, 0.5, 0.0), 1.0) == 0.5
+    assert morawetz.cone_time(g, (-0.5, 0.0, -0.5, 0.0, 0.0), 0.0) == 0.5
+    with pytest.raises(FieldError, match="inner half-box"):
+        morawetz.cone_time(g, (-0.5, 0.0, 0.0, 0.0, 0.0), 0.75)
+    with pytest.raises(FieldError, match="requires t > vertex time"):
+        morawetz.cone_time(g, (0.75, 0.0, 0.0, 0.0, 0.0), 0.75)
+
+
 def test_morawetz_identity_residual_small_on_wave_solution():
     g = Grid4(16, 0.25)
     d = data.random_data(g, SU2, seed=7, amplitude=0.02, k_band=1)
