@@ -153,9 +153,10 @@ def su2() -> LieGroupSpec:
     return LieGroupSpec("su2", 3, _su2_structure_constants())
 
 
-def abelian(dim: int = 3) -> LieGroupSpec:
-    """All-zero brackets; the linear (Maxwell-type) contrast group."""
-    return LieGroupSpec(f"abelian{dim}", dim, np.zeros((dim, dim, dim)))
+def abelian() -> LieGroupSpec:
+    """All-zero brackets in three dimensions; the linear (Maxwell-type)
+    contrast group."""
+    return LieGroupSpec("abelian3", 3, np.zeros((3, 3, 3)))
 
 
 def load_spec(path) -> LieGroupSpec:

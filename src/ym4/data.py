@@ -95,7 +95,7 @@ def pure_gauge(O: GaugeTransformField) -> ConnectionField:
     return ConnectionField(g, O.spec, a)
 
 
-def smooth_transform(grid: Grid4, spec, seed: int = 0, amplitude: float = 0.5) -> GaugeTransformField:
+def smooth_transform(grid: Grid4, spec, seed: int = 0) -> GaugeTransformField:
     """A smooth, localized gauge transformation exp of a bump-shaped
     algebra field of width L/8 (deterministic in the seed)."""
     rng = np.random.default_rng(seed)
@@ -109,7 +109,7 @@ def smooth_transform(grid: Grid4, spec, seed: int = 0, amplitude: float = 0.5) -
     wave = sum(
         np.cos(ks * grid.coordinate_field(j + 1) + phases[j]) for j in range(3)
     )
-    coeffs = amplitude * bump[..., None] * wave[..., None] * direction
+    coeffs = 0.5 * bump[..., None] * wave[..., None] * direction
     return GaugeTransformField(grid, spec, algebra.quat_exp(coeffs))
 
 

@@ -58,9 +58,6 @@ class ConnectionField:
         if self.a.shape != want:
             raise FieldError(f"connection shape {self.a.shape}, expected {want}")
 
-    def copy(self) -> "ConnectionField":
-        return ConnectionField(self.grid, self.spec, self.a.copy())
-
 
 def zero_connection(grid: Grid4, spec: LieGroupSpec) -> ConnectionField:
     return ConnectionField(grid, spec, np.zeros((4,) + grid.shape + (spec.dim,)))
@@ -345,18 +342,13 @@ def _ball_energy_max(grid: Grid4, dens_hat: np.ndarray, r: float) -> float:
     return float(np.max(conv))
 
 
-def concentration_scale(
-    d: InitialDataSet, threshold: float, F: Optional[CurvatureField] = None
-) -> float:
+def concentration_scale(d: InitialDataSet, threshold: float, F: CurvatureField) -> float:
     """Largest dyadic ladder radius r with sup_x (ball-r energy) <= threshold.
 
     The threshold is the caller's choice of eps or eps^2; both conventions
-    appear in the definition's uses and are not reconciled here.  F, the
-    curvature of d.a, is built when not given; the energy takes its
-    electric part from d.e.
+    appear in the definition's uses and are not reconciled here.  F is the
+    curvature of d.a; the energy takes its electric part from d.e.
     """
-    if F is None:
-        F = curvature(d.a)
     dens_hat = d.a.grid.fft(energy_density(CurvatureField(F.grid, F.spec, F.f, e=d.e)))
     best = 0.0
     for r in _radius_ladder(d.a.grid):

@@ -107,10 +107,11 @@ class Grid4:
         shape[self.axis(j)] = self.n
         return np.broadcast_to(c.reshape(shape), self.shape).copy()
 
-    def radius(self, center=(0.0, 0.0, 0.0, 0.0)) -> np.ndarray:
+    def radius(self) -> np.ndarray:
+        """Distance of each site from the origin."""
         r2 = np.zeros(self.shape)
         for j in range(1, 5):
-            r2 += (self.coordinate_field(j) - center[j - 1]) ** 2
+            r2 += self.coordinate_field(j) ** 2
         return np.sqrt(r2)
 
     # -- Fourier machinery --------------------------------------------------
@@ -245,8 +246,8 @@ class Grid4:
             out += self.partial(self.partial(f, j), j)
         return out
 
-    def laplace_inverse(self, f: np.ndarray, zero_mean: bool = False) -> np.ndarray:
-        """Spectral inverse of the discrete Laplacian.
+    def laplace_inverse(self, f: np.ndarray) -> np.ndarray:
+        """Spectral inverse of the discrete Laplacian of f minus its mean.
 
         Modes where the discrete symbol vanishes (the mean and, for the
         stencil backend, pure Nyquist combinations) are set to zero, so the
@@ -254,8 +255,7 @@ class Grid4:
         those modes.
         """
         self._require_periodic("laplace_inverse")
-        if zero_mean:
-            f = f - f.mean(axis=(0, 1, 2, 3), keepdims=True)
+        f = f - f.mean(axis=(0, 1, 2, 3), keepdims=True)
         sym = self.laplace_symbol()
         if f.ndim > 4:
             sym = sym.reshape(sym.shape + (1,) * (f.ndim - 4))

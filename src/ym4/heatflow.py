@@ -172,19 +172,6 @@ def run_heat(
     return traj
 
 
-def caloric_size(a: ConnectionField, p: HeatParams) -> tuple:
-    """(caloric size integral, lower-bound flag).
-
-    The flag is set when |F| has not decayed below stop_F_tol by s_max, in
-    which case the value is only a lower bound for the full integral.
-    """
-    try:
-        traj = run_heat(a, p)
-    except BlowUpError:
-        return float("inf"), True
-    return traj.caloric_size_accum, traj.tail_flagged
-
-
 def flat_trivialize(a_flat: ConnectionField) -> GaugeTransformField:
     """Solve partial_j O = O a_j along lattice paths from the box corner.
 
@@ -258,7 +245,7 @@ def flat_trivialize(a_flat: ConnectionField) -> GaugeTransformField:
     if g.boundary == "periodic":
         for _ in range(3):
             div_b = g.divergence(gauge_transform(a_flat, O).a)
-            psi = g.laplace_inverse(div_b, zero_mean=True)
+            psi = g.laplace_inverse(div_b)
             q = algebra.quat_mul(algebra.quat_exp(psi), O.q)
             O = GaugeTransformField(g, a_flat.spec, algebra.quat_normalize(q))
 

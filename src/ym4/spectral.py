@@ -84,28 +84,6 @@ def make_blocks(grid: Grid4) -> LPBlockSet:
     return LPBlockSet(grid, k_min, k_max)
 
 
-def lp_project(blocks: LPBlockSet, f: np.ndarray, k: int) -> np.ndarray:
-    """Apply the annular window psi_k; component axes pass through."""
-    return _apply_multiplier(blocks.grid, f, blocks.window(k))
-
-
-def _apply_multiplier(g: Grid4, f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Multiply the Fourier transform over the spatial axes by w.
-
-    Accepts (n,n,n,n), (n,n,n,n,d), or (C,n,n,n,n,d) layouts.
-    """
-    if f.shape[:4] == g.shape:
-        fhat = g.fft(f)
-        wfull = w.reshape(w.shape + (1,) * (f.ndim - 4))
-        return np.real(g.ifft(fhat * wfull))
-    if f.shape[1:5] == g.shape:
-        out = np.empty_like(f)
-        for c in range(f.shape[0]):
-            out[c] = _apply_multiplier(g, f[c], w)
-        return out
-    raise SpectralError(f"cannot locate grid axes in shape {f.shape}")
-
-
 def _component_stack(F: CurvatureField) -> np.ndarray:
     if F.e is None:
         return F.f
@@ -117,8 +95,7 @@ def lp_block_sups(
 ) -> list:
     """[(k, 2^{-2k} |P_k F|_Linf)] for every block k >= k_lo (all blocks when
     k_lo is None), with the pointwise inner-product norm; each component is
-    transformed once and each of those windows is applied once, as
-    lp_project would apply it."""
+    transformed once, and each window multiplies its transform once."""
     if blocks is None:
         blocks = make_blocks(F.grid)
     k_lo = blocks.k_min if k_lo is None else max(k_lo, blocks.k_min)
@@ -141,9 +118,9 @@ def sup_above(rows: list, m: float) -> float:
     return max([0.0] + [sup for k, sup in rows if k > m])
 
 
-def ed_norm(F: CurvatureField, blocks: Optional[LPBlockSet] = None) -> float:
+def ed_norm(F: CurvatureField) -> float:
     """sup_k 2^{-2k} |P_k F|_Linf with the pointwise inner-product norm."""
-    return sup_above(lp_block_sups(F, blocks), -np.inf)
+    return sup_above(lp_block_sups(F), -np.inf)
 
 
 def ed_norm_truncated(F: CurvatureField, m: int, blocks: Optional[LPBlockSet] = None) -> float:
@@ -168,12 +145,12 @@ def q_symbol_value(xi2: np.ndarray, eta2: np.ndarray) -> np.ndarray:
     return np.where(denom > 0.0, (xi2 - eta2) / np.where(denom > 0.0, 2.0 * denom, 1.0), 0.0)
 
 
-def bilinear_multiplier(g: Grid4, spec, A: np.ndarray, B: np.ndarray, symbol) -> np.ndarray:
-    """Direct double Fourier sum of a bracket-valued bilinear multiplier.
+def q_bilinear(g: Grid4, spec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The null-form bilinear Q(A, B) by a direct double Fourier sum.
 
-    A, B: (4, n,n,n,n, d); symbol(xi2, eta2) is evaluated on the grid's
-    squared derivative-symbol magnitudes.  Contraction over the vector
-    index: Sum_l [Ahat^l(xi), Bhat_l(eta)].
+    A, B: (4, n,n,n,n, d); the symbol m is evaluated on the grid's squared
+    derivative-symbol magnitudes.  Contraction over the vector index:
+    Sum_l [Ahat^l(xi), Bhat_l(eta)].
     """
     _check_small_grid(g)
     n = g.n
@@ -189,21 +166,15 @@ def bilinear_multiplier(g: Grid4, spec, A: np.ndarray, B: np.ndarray, symbol) ->
     active = np.argwhere(amps > 1e-13 * max(float(amps.max()), 1e-300))
     for idx in active:
         idx = tuple(idx)
-        shift = idx
         xi2 = s2[idx]
-        eta2 = np.roll(s2, shift, axis=(0, 1, 2, 3))
-        m = symbol(xi2, eta2)
+        eta2 = np.roll(s2, idx, axis=(0, 1, 2, 3))
+        m = q_symbol_value(xi2, eta2)
         acc = np.zeros(g.shape + (spec.dim,), dtype=complex)
         for l in range(4):
-            b_shift = np.roll(Bhat[l], shift, axis=(0, 1, 2, 3))
+            b_shift = np.roll(Bhat[l], idx, axis=(0, 1, 2, 3))
             acc += algebra.bracket_arr(spec, np.broadcast_to(Ahat[l][idx], b_shift.shape), b_shift)
         chat += m[..., None] * acc
     return np.real(g.ifft(chat * n**4))
-
-
-def q_bilinear(g: Grid4, spec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The null-form bilinear Q(A, B) with vector-index contraction."""
-    return bilinear_multiplier(g, spec, A, B, q_symbol_value)
 
 
 def q_bilinear_oracle(g: Grid4, spec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -269,7 +240,7 @@ def a0_quadratic_form(g: Grid4, spec, A: np.ndarray, B: np.ndarray) -> np.ndarra
     for l in range(4):
         bracket += algebra.bracket_arr(spec, A[l], B[l])
     q = q_bilinear(g, spec, A, B)
-    return g.laplace_inverse(bracket + 2.0 * q, zero_mean=True)
+    return g.laplace_inverse(bracket + 2.0 * q)
 
 
 def tangency_enforce(g: Grid4, spec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,9 +253,9 @@ def tangency_enforce(g: Grid4, spec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     grid's own derivative symbols (kernel modes of the symbol excluded on
     both sides).
     """
-    phi = g.laplace_inverse(g.divergence(b), zero_mean=True)
+    phi = g.laplace_inverse(g.divergence(b))
     b0 = np.stack([b[j - 1] - g.partial(phi, j) for j in range(1, 5)])
-    psi = g.laplace_inverse(2.0 * q_bilinear(g, spec, a, b0), zero_mean=True)
+    psi = g.laplace_inverse(2.0 * q_bilinear(g, spec, a, b0))
     return np.stack([b0[j - 1] + g.partial(psi, j) for j in range(1, 5)])
 
 

@@ -53,11 +53,6 @@ class CaloricDataSet:
     tail_flagged: bool = False
 
 
-def _check_finite(B: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(B)):
-        raise BlowUpError(f"{what} produced non-finite values")
-
-
 def linearized_rhs(B: np.ndarray, a_s: ConnectionField, F_s: CurvatureField) -> np.ndarray:
     """Derivative of the heat-flow tension D^j F_{jk} in the direction B:
     ds B_k = [B^j, F_{jk}] + D^j (D_j B_k - D_k B_j)."""
@@ -132,7 +127,8 @@ def _coevolve(a: ConnectionField, V: np.ndarray, p: HeatParams, rhs):
             k1 = rhs(V, a_prev, F_prev)
             k2 = rhs(V + 0.5 * p.ds * k1, a_mid, F_mid)
             V = V + p.ds * k2
-            _check_finite(V, "co-evolved linear flow")
+            if not np.all(np.isfinite(V)):
+                raise BlowUpError("co-evolved linear flow produced non-finite values")
         a_prev, F_prev = a_s, F_s
         yield s, a_s, F_s, V
 

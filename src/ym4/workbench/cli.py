@@ -2,16 +2,18 @@
 flows, and diagnostics.
 
 Each subcommand but regress runs in one frame.  It loads the config, builds
-the grid, group, input data and flow parameters, and only then makes the
-output directory, so a rejected config, input or parameter leaves none.  The
+the grid, group and input data, resolves every other config value the
+subcommand uses into its parameters, and only then makes the output
+directory, so a rejected config, input or parameter leaves none.  The
 subcommand writes its .csv and .ymf files, and the frame writes report.json.
 
 Exit codes: 0 ok, 2 configuration error (among them a number that is not
-finite, a vector of the wrong length, and a Morawetz vertex at or after t1
-or whose cone at t2 leaves the inner half-box), 3 invariant violation, 4
-blow-up signal.  On exit 3 or 4 once the output directory exists, report.json
-carries the message under invariant_violation or blow_up; after a blow-up
-the flow's CSV holds the rows it sampled before the signal.
+finite, a vector of the wrong length, a Morawetz window with t1 >= t2 or
+t2 after [wave] t_end, and a Morawetz vertex at or after t1 or whose cone
+at t2 leaves the inner half-box), 3 invariant violation, 4 blow-up signal.
+On exit 3 or 4 once the output directory exists, report.json carries the
+message under invariant_violation or blow_up; after a blow-up the flow's
+CSV holds the rows it sampled before the signal.
 
 The environment variable YM4_THREADS is accepted and recorded in reports,
 but ym4 does not read it for computation.  The blocked stencil and su(2)
@@ -62,7 +64,7 @@ def build_spec(cfg: ExperimentConfig):
     if name == "su2":
         return algebra.su2()
     if name == "abelian":
-        return algebra.abelian(3)
+        return algebra.abelian()
     if name == "file":
         path = cfg.get("group", "file")
         try:
@@ -132,6 +134,43 @@ def build_wave_params(cfg: ExperimentConfig, grid: Grid4) -> wave.WaveParams:
     return p
 
 
+def _gen_data_params(cfg: ExperimentConfig, grid: Grid4) -> float:
+    """The energy threshold of gen-data's concentration scale."""
+    return cfg.get("diagnostics", "eps", default=0.01, cast=positive_float)
+
+
+def _heat_params(cfg: ExperimentConfig, grid: Grid4) -> tuple:
+    """(HeatParams, whether the flow takes the DeTurck gauge term)."""
+    return build_heat_params(cfg, grid), cfg.get_bool("heat", "de_turck")
+
+
+def _ed_norm_params(cfg: ExperimentConfig, grid: Grid4) -> int:
+    """The block index the truncated norm starts above."""
+    k_min = spectral.make_blocks(grid).k_min
+    return cfg.get("diagnostics", "ed_truncation", default=k_min, cast=int)
+
+
+def _morawetz_params(cfg: ExperimentConfig, grid: Grid4) -> tuple:
+    """(WaveParams, vertex, eps, t1, t2): a window [t1, t2] inside the
+    flow's time span whose cone sections start after the vertex and stay
+    in the inner half-box."""
+    p = build_wave_params(cfg, grid)
+    eps = cfg.get("diagnostics", "eps", default=1.0, cast=positive_float)
+    vertex = cfg.get_floats("diagnostics", "vertex", default=(0.0, 0.0, 0.0, 0.0, 0.0), length=5)
+    t1 = cfg.get("diagnostics", "t1", cast=float)
+    t2 = cfg.get("diagnostics", "t2", cast=float)
+    if not t1 < t2:
+        raise ConfigError(f"[diagnostics] t1 = {t1} is not before t2 = {t2}")
+    if t2 > p.t_end:
+        raise ConfigError(f"[diagnostics] t2 = {t2} is after [wave] t_end = {p.t_end}")
+    try:
+        for t in (t1, t2):
+            morawetz.cone_time(grid, vertex, t)
+    except FieldError as err:
+        raise ConfigError(str(err)) from err
+    return p, vertex, eps, t1, t2
+
+
 def _outdir(cfg: ExperimentConfig, args) -> Path:
     out = args.out or cfg.sections.get("output", {}).get("dir")
     if out is None:
@@ -163,20 +202,15 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _dump_heat_csv(outdir: Path, traj) -> list:
     """Write heat.csv; returns its (s, energy, ...) rows."""
-    rows = list(
-        zip(
-            traj.s_samples,
-            traj.energy_series,
-            traj.tension_l2_series,
-            traj.caloric_size_series,
-            traj.dissipation_series,
-        )
-    )
-    _write_csv(
-        outdir / "heat.csv",
-        ["s [len^2]", "energy [1]", "tension_l2 [1/len]", "caloric_size [1]", "dissipation [1]"],
-        rows,
-    )
+    columns = [
+        ("s [len^2]", traj.s_samples),
+        ("energy [1]", traj.energy_series),
+        ("tension_l2 [1/len]", traj.tension_l2_series),
+        ("caloric_size [1]", traj.caloric_size_series),
+        ("dissipation [1]", traj.dissipation_series),
+    ]
+    rows = list(zip(*(series for _, series in columns)))
+    _write_csv(outdir / "heat.csv", [name for name, _ in columns], rows)
     return rows
 
 
@@ -238,12 +272,12 @@ def _frame(args) -> int:
     grid = build_grid(cfg)
     spec = build_spec(cfg)
     d = _input_data(args, cfg, grid, spec)
-    p = args.params(cfg, grid) if args.params else None
+    p = args.params(cfg, grid)
     outdir = _outdir(cfg, args)
     _write_resolved(cfg, outdir)
     report = None
     try:
-        report = args.body(cfg, grid, spec, d, p, outdir)
+        report = args.body(grid, spec, d, p, outdir)
     except BlowUpError as err:
         rows = []
         if isinstance(err.partial, heatflow.HeatTrajectory):
@@ -265,15 +299,14 @@ def _frame(args) -> int:
 
 # -- subcommand bodies -------------------------------------------------------
 #
-# A body takes the config and what the frame resolved from it: the grid, the
-# group, the input data, the flow parameters (or None) and the output
+# A body takes what the frame resolved from the config: the grid, the group,
+# the input data, the parameters its builder returned and the output
 # directory.  It writes its own .csv and .ymf files and returns its report.
 # It signals exit 3 by raising InvariantError, with its report, once its
 # files are written.
 
 
-def cmd_gen_data(cfg, grid, spec, d, p, outdir) -> dict:
-    eps = cfg.get("diagnostics", "eps", default=0.01, cast=positive_float)
+def cmd_gen_data(grid, spec, d, eps, outdir) -> dict:
     _write_wave_state(outdir / "data.ymf", d.a, d.e, 0.0)
     F = gaugefield.curvature(d.a)
     F.e = d.e
@@ -289,8 +322,8 @@ def cmd_gen_data(cfg, grid, spec, d, p, outdir) -> dict:
     return report
 
 
-def cmd_heat(cfg, grid, spec, d, p, outdir) -> dict:
-    de_turck = cfg.get_bool("heat", "de_turck", default=False)
+def cmd_heat(grid, spec, d, params, outdir) -> dict:
+    p, de_turck = params
     traj = heatflow.run_heat(d.a, p, de_turck=de_turck)
     _dump_heat_csv(outdir, traj)
     snap.write_snapshot(
@@ -315,7 +348,7 @@ def cmd_heat(cfg, grid, spec, d, p, outdir) -> dict:
     return report
 
 
-def cmd_wave(cfg, grid, spec, d, p, outdir) -> dict:
+def cmd_wave(grid, spec, d, p, outdir) -> dict:
     snapshots = wave.run_wave(d, p)
     rows = _dump_wave_csv(outdir, snapshots)
     last = snapshots[-1]
@@ -329,7 +362,7 @@ def cmd_wave(cfg, grid, spec, d, p, outdir) -> dict:
     }
 
 
-def cmd_caloric(cfg, grid, spec, d, p, outdir) -> dict:
+def cmd_caloric(grid, spec, d, p, outdir) -> dict:
     a_cal, O, traj = heatflow.caloric_project(d.a, p)
     snap.write_snapshot(outdir / "caloric.ymf", a_cal.a, grid, spec, snap.KIND_CONNECTION, 0.0)
     div_norm, a_sq = heatflow.caloric_divergence(a_cal)
@@ -342,7 +375,7 @@ def cmd_caloric(cfg, grid, spec, d, p, outdir) -> dict:
     }
 
 
-def cmd_div_curl(cfg, grid, spec, d, p, outdir) -> dict:
+def cmd_div_curl(grid, spec, d, p, outdir) -> dict:
     cal = tangent.div_curl_decompose(d.a, d.e, p)
     snap.write_snapshot(outdir / "tangent_b.ymf", cal.b.b, grid, spec, snap.KIND_ELECTRIC, 0.0)
     snap.write_snapshot(outdir / "a0.ymf", cal.a0[None], grid, spec, snap.KIND_SCALARSET, 0.0)
@@ -356,12 +389,10 @@ def cmd_div_curl(cfg, grid, spec, d, p, outdir) -> dict:
     }
 
 
-def cmd_ed_norm(cfg, grid, spec, d, p, outdir) -> dict:
+def cmd_ed_norm(grid, spec, d, m, outdir) -> dict:
     F = gaugefield.curvature(d.a)
-    blocks = spectral.make_blocks(grid)
-    rows = spectral.lp_block_sups(F, blocks)
+    rows = spectral.lp_block_sups(F)
     _write_csv(outdir / "ed.csv", ["k [dyadic]", "weighted_block_sup [1/len^2]"], rows)
-    m = cfg.get("diagnostics", "ed_truncation", default=blocks.k_min, cast=int)
     return {
         "ed_norm": spectral.sup_above(rows, -np.inf),
         "ed_norm_truncated": spectral.sup_above(rows, m),
@@ -369,39 +400,19 @@ def cmd_ed_norm(cfg, grid, spec, d, p, outdir) -> dict:
     }
 
 
-def cmd_morawetz(cfg, grid, spec, d, p, outdir) -> dict:
-    eps = cfg.get("diagnostics", "eps", default=1.0, cast=positive_float)
-    vertex = cfg.get_floats("diagnostics", "vertex", default=(0.0, 0.0, 0.0, 0.0, 0.0), length=5)
-    t1 = cfg.get("diagnostics", "t1", cast=float)
-    t2 = cfg.get("diagnostics", "t2", cast=float)
-    try:
-        for t in (t1, t2):
-            morawetz.cone_time(grid, vertex, t)
-    except FieldError as err:
-        raise ConfigError(str(err)) from err
+def cmd_morawetz(grid, spec, d, params, outdir) -> dict:
+    p, vertex, eps, t1, t2 = params
     snapshots = wave.run_wave(d, p)
     m = morawetz.morawetz_identity_residual(snapshots, vertex, eps, t1, t2)
-    _write_csv(
-        outdir / "morawetz.csv",
-        [
-            "t [len]",
-            "eps [len]",
-            "weighted_energy [1]",
-            "dissipation [1]",
-            "boundary [1]",
-            "residual [rel]",
-        ],
-        [
-            (
-                m.t,
-                m.eps,
-                m.weighted_energy,
-                m.interior_dissipation_accum,
-                m.boundary_term,
-                m.identity_residual,
-            )
-        ],
-    )
+    columns = [
+        ("t [len]", m.t),
+        ("eps [len]", m.eps),
+        ("weighted_energy [1]", m.weighted_energy),
+        ("dissipation [1]", m.interior_dissipation_accum),
+        ("boundary [1]", m.boundary_term),
+        ("residual [rel]", m.identity_residual),
+    ]
+    _write_csv(outdir / "morawetz.csv", [name for name, _ in columns], [[v for _, v in columns]])
     report = {
         "weighted_energy_start": m.weighted_energy_start,
         "weighted_energy_end": m.weighted_energy,
@@ -459,13 +470,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ym4", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, body, params, needs_input in [
-        ("gen-data", cmd_gen_data, None, False),
-        ("heat", cmd_heat, build_heat_params, True),
+        ("gen-data", cmd_gen_data, _gen_data_params, False),
+        ("heat", cmd_heat, _heat_params, True),
         ("wave", cmd_wave, build_wave_params, True),
         ("caloric", cmd_caloric, build_heat_params, True),
         ("div-curl", cmd_div_curl, build_heat_params, True),
-        ("ed-norm", cmd_ed_norm, None, True),
-        ("morawetz", cmd_morawetz, build_wave_params, True),
+        ("ed-norm", cmd_ed_norm, _ed_norm_params, True),
+        ("morawetz", cmd_morawetz, _morawetz_params, True),
     ]:
         sp = sub.add_parser(name)
         sp.add_argument("config")

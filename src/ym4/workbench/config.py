@@ -73,10 +73,11 @@ class ExperimentConfig:
             raise ConfigError(f"[{section}] {key} takes {length} numbers, got {len(vals)}")
         return vals
 
-    def get_bool(self, section: str, key: str, default: bool = False) -> bool:
+    def get_bool(self, section: str, key: str) -> bool:
+        """A yes/no value; False when the key is absent."""
         val = self.sections.get(section, {}).get(key)
         if val is None:
-            return default
+            return False
         low = val.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True

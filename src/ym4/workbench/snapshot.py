@@ -52,7 +52,7 @@ def group_from_id(gid: int) -> LieGroupSpec:
     if gid == GROUP_SU2:
         return su2()
     if gid == GROUP_ABELIAN3:
-        return abelian(3)
+        return abelian()
     raise SnapshotError(f"unknown group id {gid}")
 
 

@@ -25,6 +25,14 @@ def quat_log_coeffs(q: np.ndarray) -> np.ndarray:
     return v * scale
 
 
+def radius_about(grid, center) -> np.ndarray:
+    """Distance of each site of grid from the point center."""
+    r2 = np.zeros(grid.shape)
+    for j in range(1, 5):
+        r2 += (grid.coordinate_field(j) - center[j - 1]) ** 2
+    return np.sqrt(r2)
+
+
 def identity_transform(grid, spec) -> GaugeTransformField:
     """The gauge transformation equal to the group identity at every site."""
     q = np.zeros(grid.shape + (4,))

@@ -172,7 +172,7 @@ def test_criterion_5_div_curl_flat_oracle():
     e = data.random_data(g, SU2, seed=11, amplitude=0.05, k_band=1, project=False, window=False).e
     scale = g.l2norm(e)
     div_e = sum(g.partial(e[j - 1], j) for j in range(1, 5))
-    a0_or = -g.laplace_inverse(div_e, zero_mean=True)
+    a0_or = -g.laplace_inverse(div_e)
     b_or = np.stack([e[j - 1] + g.partial(a0_or, j) for j in range(1, 5)])
     p = HeatParams(ds=2e-4, s_max=40.0, integrator="rk2", stop_F_tol=1e-9)
     cal = div_curl_decompose(flat, e, p)

@@ -22,7 +22,7 @@ from ym4.grid import Grid4
 from oracles import inner_arr, quat_log_coeffs
 
 SU2 = algebra.su2()
-AB = algebra.abelian(3)
+AB = algebra.abelian()
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 

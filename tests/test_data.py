@@ -65,7 +65,7 @@ def test_bpst_guards():
     with pytest.raises(FieldError):
         data.bpst(g, SU2, lam=2.0, orientation=0)
     with pytest.raises(FieldError):
-        data.bpst(g, algebra.abelian(3), lam=2.0)
+        data.bpst(g, algebra.abelian(), lam=2.0)
 
 
 def test_pure_gauge_identity_is_zero():

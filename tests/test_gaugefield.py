@@ -103,7 +103,7 @@ def test_gauge_transform_identity_and_round_trip():
     a = rand_conn(g, seed=5)
     same = gauge_transform(a, identity_transform(g, SU2))
     assert np.max(np.abs(same.a - a.a)) <= 1e-14
-    O = data.smooth_transform(g, SU2, seed=6, amplitude=0.4)
+    O = data.smooth_transform(g, SU2, seed=6)
     moved = gauge_transform(zero_connection(g, SU2), O)
     back = gauge_transform(moved, O.inverse())
     assert np.max(np.abs(back.a)) <= 1e-9
@@ -114,7 +114,7 @@ def test_gauge_transform_energy_invariance_refinement():
     for n in (8, 16):
         g = Grid4(n, 4.0 / n)
         a = rand_conn(g, seed=7, amp=0.3)
-        O = data.smooth_transform(g, SU2, seed=8, amplitude=0.5)
+        O = data.smooth_transform(g, SU2, seed=8)
         e0 = static_energy(curvature(a))
         e1 = static_energy(curvature(gauge_transform(a, O)))
         errs[n] = abs(e1 - e0) / e0
@@ -194,7 +194,7 @@ def test_covariant_poisson_flat_matches_spectral():
     rhs = np.real(g.ifft(np.where(sym != 0.0, g.fft(rhs), 0.0)))
     a0 = zero_connection(g, SU2)
     got = covariant_poisson(a0, rhs)
-    want = g.laplace_inverse(rhs, zero_mean=True)
+    want = g.laplace_inverse(rhs)
     assert g.l2norm(got - want) <= 1e-9 * max(1.0, g.l2norm(want))
 
 
@@ -204,7 +204,7 @@ def test_gauss_project_flat_leray_oracle():
     out = gauss_project(zero_connection(g, SU2), e_raw)
     # spectral Helmholtz oracle with the grid's own symbols
     div = sum(g.partial(e_raw[j - 1], j) for j in range(1, 5))
-    phi = g.laplace_inverse(div, zero_mean=True)
+    phi = g.laplace_inverse(div)
     want = np.stack([e_raw[j - 1] - g.partial(phi, j) for j in range(1, 5)])
     assert g.l2norm(out.e - want) <= 1e-9 * max(1.0, g.l2norm(want))
 
@@ -226,10 +226,10 @@ def test_gauss_project_residual_and_idempotence():
 def test_concentration_scale_trivials():
     g = small_grid()
     d = InitialDataSet(zero_connection(g, SU2), np.zeros((4,) + g.shape + (3,)))
-    assert concentration_scale(d, 1e-3) == g.extent / 4.0
+    assert concentration_scale(d, 1e-3, curvature(d.a)) == g.extent / 4.0
     dd = data.random_data(g, SU2, seed=23, amplitude=0.2, k_band=1)
     total = static_energy(curvature(dd.a)) + g.l2norm(dd.e) ** 2
-    assert concentration_scale(dd, 2.0 * total) == g.extent / 4.0
+    assert concentration_scale(dd, 2.0 * total, curvature(dd.a)) == g.extent / 4.0
 
 
 def test_concentration_scale_bump_width():
@@ -242,7 +242,7 @@ def test_concentration_scale_bump_width():
         arr[0, ..., 0] = 2.0 * np.exp(-r2 / (2.0 * lam**2))
         ds = InitialDataSet(ConnectionField(g, SU2, arr), np.zeros((4,) + g.shape + (3,)))
         total = static_energy(curvature(ds.a))
-        lam_scales[lam] = concentration_scale(ds, 0.2 * total)
+        lam_scales[lam] = concentration_scale(ds, 0.2 * total, curvature(ds.a))
     ratio = lam_scales[1.0] / max(lam_scales[0.5], 1e-300)
     assert 1.5 <= ratio <= 2.5
 

@@ -111,7 +111,7 @@ def test_laplace_inverse_zero_and_trailing_axes():
     assert np.max(np.abs(g.laplace_inverse(np.zeros(g.shape)))) == 0.0
     rng = np.random.default_rng(2)
     f = rng.normal(size=g.shape + (3,))
-    out = g.laplace_inverse(f, zero_mean=True)
+    out = g.laplace_inverse(f)
     assert out.shape == f.shape
 
 

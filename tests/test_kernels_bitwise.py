@@ -235,7 +235,7 @@ def test_curvature_and_tension_equal_the_pair_component_loop(
         g = Grid4(n, 0.5, deriv="spectral")
     else:
         g = Grid4(n, 0.5, boundary=grid)
-    spec = SU2 if spec == "su2" else algebra.abelian(3)
+    spec = SU2 if spec == "su2" else algebra.abelian()
     a = ConnectionField(g, spec, field(seed, (4,) + g.shape + (3,), zeros))
     for _ in thread_counts():
         assert_kernels_match_references(a, field(seed + 1, g.shape + (3,), zeros))

@@ -16,6 +16,8 @@ from ym4.gaugefield import ConnectionField, FieldError, InitialDataSet, curvatur
 from ym4.grid import Grid4
 from ym4.wave import WaveParams, WaveState
 
+from oracles import radius_about
+
 SU2 = algebra.su2()
 
 
@@ -243,7 +245,7 @@ def _reference_report(snaps, vertex, eps):
     g = snaps[0].a.grid
     t0, x0 = vertex[0], vertex[1:]
     x = offsets(g, x0)
-    r = g.radius(center=x0)
+    r = radius_about(g, x0)
 
     def dissipation(w):
         t = w.t - t0
@@ -350,7 +352,7 @@ def _full_grid_report(snaps, vertex, eps):
     g = snaps[0].a.grid
     t0, x0 = vertex[0], vertex[1:]
     x = offsets(g, x0)
-    r = g.radius(center=x0)
+    r = radius_about(g, x0)
     sq = morawetz._sq
 
     def dissipation(w, f, t):

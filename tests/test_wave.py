@@ -10,7 +10,7 @@ from ym4.grid import Grid4
 from ym4.wave import WaveParams, WaveState, run_wave, wave_step
 
 SU2 = algebra.su2()
-AB = algebra.abelian(3)
+AB = algebra.abelian()
 
 
 def small_grid(n=8, h=0.5):

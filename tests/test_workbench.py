@@ -401,7 +401,7 @@ def test_cli_gen_data_builds_the_curvature_once(tmp_path, monkeypatch):
     F.e = d.e
     assert report["energy"] == gaugefield.static_energy(F)
     assert report["chi"] == gaugefield.chi(curvature(d.a))
-    assert report["concentration_scale"] == gaugefield.concentration_scale(d, 0.01)
+    assert report["concentration_scale"] == gaugefield.concentration_scale(d, 0.01, curvature(d.a))
 
 
 def test_cli_malformed_group_spec_is_config_error(tmp_path, capsys):
@@ -522,8 +522,22 @@ def _no_flow(*args, **kwargs):
             "[diagnostics]\nt1 = 0\nt2 = 0.5\nvertex = -1, 0, 0, 0, 0\n[wave]",
             "cone section leaves the inner half-box validity region",
         ),
+        (
+            "morawetz",
+            "[wave]",
+            "[diagnostics]\nt1 = 0.2\nt2 = 0.1\nvertex = -0.2, 0, 0, 0, 0\n[wave]",
+            "t1 = 0.2 is not before t2 = 0.1",
+        ),
+        (
+            "morawetz",
+            "[wave]",
+            "[diagnostics]\nt1 = 0\nt2 = 0.7\nvertex = -0.2, 0, 0, 0, 0\n[wave]",
+            "t2 = 0.7 is after [wave] t_end = 0.5",
+        ),
         ("gen-data", "[wave]", "[diagnostics]\neps = -1\n[wave]", "eps"),
         ("gen-data", "[wave]", "[diagnostics]\neps = nan\n[wave]", "eps"),
+        ("heat", "[heat]", "[heat]\nde_turck = maybe", "bad boolean for [heat] de_turck"),
+        ("ed-norm", "[wave]", "[diagnostics]\ned_truncation = x\n[wave]", "ed_truncation"),
     ],
 )
 def test_cli_bad_config_numbers_are_config_errors(
@@ -536,7 +550,7 @@ def test_cli_bad_config_numbers_are_config_errors(
     assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and reason in err
-    assert not (tmp_path / "o" / "report.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_heat_energy_rise_is_invariant_violation(tmp_path, capsys, monkeypatch):
@@ -581,8 +595,7 @@ def test_every_schema_key_is_read():
 
 def test_cli_ed_norm_one_window_per_block(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "[diagnostics]\ned_truncation = 2\n")
-    # every window application, from lp_project or any other path, builds
-    # its window through LPBlockSet.window
+    # every window application builds its window through LPBlockSet.window
     calls = []
     window = spectral.LPBlockSet.window
 
@@ -605,6 +618,6 @@ def test_cli_ed_norm_one_window_per_block(tmp_path, monkeypatch):
     assert rows == spectral.lp_block_sups(F, blocks)
     report = json.loads((out / "report.json").read_text())
     assert report["truncation_index"] == 2
-    assert report["ed_norm"] == spectral.ed_norm(F, blocks)
+    assert report["ed_norm"] == spectral.ed_norm(F)
     assert report["ed_norm_truncated"] == spectral.ed_norm_truncated(F, 2, blocks)
     assert 0.0 < report["ed_norm_truncated"] < report["ed_norm"]
