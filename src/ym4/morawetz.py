@@ -28,6 +28,13 @@ once per snapshot and shared by its integrands, equals the whole grid's
 bit for bit on those sites; its coordinates are the parent's, sliced, and
 the validity region is the parent's.  So the gathered arrays, and the
 report, are the same as on the whole grid.
+
+MorawetzAccumulator takes the snapshots one at a time, so a wave run can
+feed it through run_wave's observer.  Per snapshot it keeps three scalars
+(time, dissipation, flux); beyond them it holds the first weighted energy
+and the latest snapshot's cone window, whose weighted energy it takes when
+the report is asked for, since only then is that snapshot known to be the
+last.  morawetz_identity_residual feeds it a list.
 """
 
 from __future__ import annotations
@@ -334,6 +341,75 @@ def _boundary_flux(cone: _Cone, eps: float) -> float:
     return g.integrate(flux) / g.h
 
 
+def in_window(t: float, t1: float, t2: float) -> bool:
+    """Whether a snapshot at time t falls in the report window [t1, t2]."""
+    return t1 - 1e-12 <= t <= t2 + 1e-12
+
+
+class MorawetzAccumulator:
+    """Both sides of the integrated monotonicity identity, assembled from
+    the snapshots of one run fed in time order.
+
+    LHS: weighted energy at t2 plus the time-integrated interior
+    dissipation; RHS: weighted energy at t1 plus the time-integrated
+    lateral boundary flux.  Time integrals by the trapezoid rule over the
+    snapshots falling in [t1, t2], whose times must strictly increase; all
+    snapshots must share one grid.  Each snapshot in the window is cut to
+    its cone window once, and the window's one curvature is shared by its
+    integrands.
+    """
+
+    def __init__(self, vertex, eps: float, t1: float, t2: float):
+        if not 0.0 < eps < np.inf:
+            raise FieldError(f"eps must be finite and positive, got {eps!r}")
+        self.vertex, self.eps, self.t1, self.t2 = vertex, eps, t1, t2
+        self.grid: Optional[Grid4] = None
+        self.times: List[float] = []
+        self.diss: List[float] = []
+        self.flux: List[float] = []
+        self.we_start = np.nan
+        self.last: Optional[_Cone] = None  # the latest snapshot in the window
+
+    def add(self, w: WaveState) -> None:
+        """Take the next snapshot; one outside [t1, t2] only has its grid checked."""
+        if self.grid is None:
+            self.grid = w.a.grid
+        elif w.a.grid != self.grid:
+            raise FieldError("snapshots must share one grid")
+        if not in_window(w.t, self.t1, self.t2):
+            return
+        if self.times and not w.t > self.times[-1]:
+            raise FieldError("snapshot times in [t1, t2] must be strictly increasing")
+        cone = _cone(w, self.vertex)
+        if not self.times:
+            self.we_start = weighted_energy(cone, self.eps)
+        self.diss.append(interior_dissipation(cone, self.eps))
+        self.flux.append(_boundary_flux(cone, self.eps))
+        self.times.append(w.t)
+        self.last = cone
+
+    def report(self) -> MorawetzReport:
+        """The identity over the snapshots taken so far in [t1, t2]."""
+        if len(self.times) < 2:
+            raise FieldError("need at least two snapshots in [t1, t2]")
+        times = np.array(self.times)
+        diss_int = float(np.trapezoid(self.diss, times))
+        flux_int = float(np.trapezoid(self.flux, times))
+        we1, we2 = self.we_start, weighted_energy(self.last, self.eps)
+        lhs = we2 + diss_int
+        rhs = we1 + flux_int
+        residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+        return MorawetzReport(
+            t=self.times[-1],
+            eps=self.eps,
+            weighted_energy_start=we1,
+            weighted_energy=we2,
+            interior_dissipation_accum=diss_int,
+            boundary_term=flux_int,
+            identity_residual=residual,
+        )
+
+
 def morawetz_identity_residual(
     snapshots: List[WaveState],
     vertex,
@@ -341,44 +417,8 @@ def morawetz_identity_residual(
     t1: float,
     t2: float,
 ) -> MorawetzReport:
-    """Assemble both sides of the integrated monotonicity identity.
-
-    LHS: weighted energy at t2 plus the time-integrated interior
-    dissipation; RHS: weighted energy at t1 plus the time-integrated
-    lateral boundary flux.  Time integrals by the trapezoid rule over the
-    snapshots falling in [t1, t2], whose times must strictly increase; all
-    snapshots must share one grid.  Each snapshot is cut to its cone window
-    once, and the window's one curvature is shared by its integrands.
-    """
-    if not 0.0 < eps < np.inf:
-        raise FieldError(f"eps must be finite and positive, got {eps!r}")
-    if len({w.a.grid for w in snapshots}) > 1:
-        raise FieldError("snapshots must share one grid")
-    sel = [w for w in snapshots if t1 - 1e-12 <= w.t <= t2 + 1e-12]
-    if len(sel) < 2:
-        raise FieldError("need at least two snapshots in [t1, t2]")
-    times = np.array([w.t for w in sel])
-    if not np.all(np.diff(times) > 0.0):
-        raise FieldError("snapshot times in [t1, t2] must be strictly increasing")
-    diss, flux, we = [], [], []
-    for i, w in enumerate(sel):
-        cone = _cone(w, vertex)
-        if i in (0, len(sel) - 1):
-            we.append(weighted_energy(cone, eps))
-        diss.append(interior_dissipation(cone, eps))
-        flux.append(_boundary_flux(cone, eps))
-    diss_int = float(np.trapezoid(diss, times))
-    flux_int = float(np.trapezoid(flux, times))
-    we1, we2 = we
-    lhs = we2 + diss_int
-    rhs = we1 + flux_int
-    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    return MorawetzReport(
-        t=sel[-1].t,
-        eps=eps,
-        weighted_energy_start=we1,
-        weighted_energy=we2,
-        interior_dissipation_accum=diss_int,
-        boundary_term=flux_int,
-        identity_residual=residual,
-    )
+    """The MorawetzAccumulator report over a list of snapshots."""
+    acc = MorawetzAccumulator(vertex, eps, t1, t2)
+    for w in snapshots:
+        acc.add(w)
+    return acc.report()

@@ -6,16 +6,18 @@ With a vanishing temporal component the spatial connection obeys
 
 integrated by kick-drift-kick leapfrog on (a, adot), where adot_j is the
 electric field F_{0j}.  The Gauss residual |D^j adot_j|_2 is recorded at
-every accepted step; run_wave keeps every snapshot_stride-th state with its
-energy and raises a blow-up signal on non-finite values or a runaway
-energy-density peak.  The Morawetz identity over these states is assembled
-in ym4.morawetz.
+every accepted step; run_wave records the energy of every snapshot_stride-th
+state and of the last, and raises a blow-up signal on non-finite values or
+a runaway energy-density peak.  It either returns those states as a list or
+streams them, one at a time, to an observer and keeps only the last, so a
+streamed run holds a few states whatever t_end is.  The Morawetz identity
+over these states is assembled in ym4.morawetz, also one state at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .gaugefield import (
     curvature_tension,
     energy_density,
 )
-from .stepping import march
+from .stepping import march, step_count
 
 MAX_CFL = 0.4
 BLOWUP_DENSITY_FACTOR = 1e6
@@ -90,14 +92,34 @@ def _energy_and_peak(w: WaveState) -> tuple:
     return w.a.grid.integrate(dens), float(np.max(dens))
 
 
-def run_wave(d: InitialDataSet, p: WaveParams) -> List[WaveState]:
-    """Evolve to t_end, returning snapshots every snapshot_stride steps,
-    each with its energy recorded from the density the blow-up check uses.
-    The first snapshot shares d.a and d.e, which no step writes.
+def kept_times(p: WaveParams) -> Iterator[float]:
+    """The times of the states run_wave keeps, summed step by step as its
+    loop sums them: every snapshot_stride-th step and the last."""
+    n_steps, t = step_count(p.dt, p.t_end), 0.0
+    for k in range(n_steps + 1):
+        if k > 0:
+            t += p.dt
+        if k % p.snapshot_stride == 0 or k == n_steps:
+            yield t
 
-    Raises a blow-up signal (with the partial snapshot list attached) on
-    non-finite values or an energy-density peak that is NaN or beyond 1e6
-    times the initial peak.
+
+def run_wave(
+    d: InitialDataSet,
+    p: WaveParams,
+    observer: Optional[Callable[[WaveState], None]] = None,
+) -> List[WaveState]:
+    """Evolve to t_end, keeping every snapshot_stride-th state and the last,
+    each with its energy recorded from the density the blow-up check uses.
+    The first kept state shares d.a and d.e, which no step writes.
+
+    Without an observer, returns the kept states.  With one, calls
+    observer(w) on each kept state in time order as the loop reaches it,
+    holds none of them, and returns [last state].
+
+    Raises a blow-up signal on non-finite values or an energy-density peak
+    that is NaN or beyond 1e6 times the initial peak.  Without an observer
+    the signal carries the states kept before it as its partial list; with
+    one, the observer has had them and the partial list stays None.
     """
     g = d.a.grid
     p.check_cfl(g.h)
@@ -105,6 +127,7 @@ def run_wave(d: InitialDataSet, p: WaveParams) -> List[WaveState]:
     w.gauss_residual = _gauss(w.a, w.adot)
     w.energy, peak0 = _energy_and_peak(w)
     snapshots = []
+    keep = snapshots.append if observer is None else observer
     try:
         for k, w, last in march(w, lambda w: wave_step(w, p.dt), p.dt, p.t_end):
             if k > 0:
@@ -116,9 +139,9 @@ def run_wave(d: InitialDataSet, p: WaveParams) -> List[WaveState]:
                         last_state=w,
                     )
             if k % p.snapshot_stride == 0 or last:
-                snapshots.append(w)
+                keep(w)
     except BlowUpError as err:
-        err.partial = snapshots
+        if observer is None:
+            err.partial = snapshots
         raise
-    return snapshots
-
+    return snapshots if observer is None else [w]

@@ -8,12 +8,18 @@ directory, so a rejected config, input or parameter leaves none.  The
 subcommand writes its .csv and .ymf files, and the frame writes report.json.
 
 Exit codes: 0 ok, 2 configuration error (among them a number that is not
-finite, a vector of the wrong length, a Morawetz window with t1 >= t2 or
-t2 after [wave] t_end, and a Morawetz vertex at or after t1 or whose cone
-at t2 leaves the inner half-box), 3 invariant violation, 4 blow-up signal.
+finite, a vector of the wrong length, a Morawetz window with t1 >= t2,
+with t2 after [wave] t_end or holding fewer than two of the states the wave
+flow keeps, and a Morawetz vertex at or after t1 or whose cone at t2 leaves
+the inner half-box), 3 invariant violation, 4 blow-up signal.
 On exit 3 or 4 once the output directory exists, report.json carries the
 message under invariant_violation or blow_up; after a blow-up the flow's
 CSV holds the rows it sampled before the signal.
+
+wave, morawetz and regress stream the wave flow through run_wave's
+observer: each kept state gives its wave.csv row (and its Morawetz terms)
+as the flow reaches it, and only the last state is held, so memory does
+not grow with [wave] t_end.
 
 The environment variable YM4_THREADS is accepted and recorded in reports,
 but ym4 does not read it for computation.  The blocked stencil and su(2)
@@ -152,8 +158,9 @@ def _ed_norm_params(cfg: ExperimentConfig, grid: Grid4) -> int:
 
 def _morawetz_params(cfg: ExperimentConfig, grid: Grid4) -> tuple:
     """(WaveParams, vertex, eps, t1, t2): a window [t1, t2] inside the
-    flow's time span whose cone sections start after the vertex and stay
-    in the inner half-box."""
+    flow's time span that holds at least two of the states the flow keeps
+    and whose cone sections start after the vertex and stay in the inner
+    half-box."""
     p = build_wave_params(cfg, grid)
     eps = cfg.get("diagnostics", "eps", default=1.0, cast=positive_float)
     vertex = cfg.get_floats("diagnostics", "vertex", default=(0.0, 0.0, 0.0, 0.0, 0.0), length=5)
@@ -163,6 +170,12 @@ def _morawetz_params(cfg: ExperimentConfig, grid: Grid4) -> tuple:
         raise ConfigError(f"[diagnostics] t1 = {t1} is not before t2 = {t2}")
     if t2 > p.t_end:
         raise ConfigError(f"[diagnostics] t2 = {t2} is after [wave] t_end = {p.t_end}")
+    held = sum(morawetz.in_window(t, t1, t2) for t in wave.kept_times(p))
+    if held < 2:
+        raise ConfigError(
+            f"[diagnostics] window [{t1}, {t2}] holds {held} of the wave states kept "
+            f"(every {p.snapshot_stride} steps and the last), fewer than two"
+        )
     try:
         for t in (t1, t2):
             morawetz.cone_time(grid, vertex, t)
@@ -214,11 +227,28 @@ def _dump_heat_csv(outdir: Path, traj) -> list:
     return rows
 
 
-def _dump_wave_csv(outdir: Path, snapshots) -> list:
-    """Write wave.csv; returns its (t, energy, gauss_residual) rows."""
-    rows = [(w.t, w.energy, w.gauss_residual) for w in snapshots]
+def _write_wave_csv(outdir: Path, rows) -> None:
+    """Write wave.csv from (t, energy, gauss_residual) rows."""
     _write_csv(outdir / "wave.csv", ["t [len]", "energy [1]", "gauss_residual [1/len^3]"], rows)
-    return rows
+
+
+def _stream_wave(d: InitialDataSet, p: wave.WaveParams, observer=None) -> tuple:
+    """Run the wave flow, passing each kept state to observer as it comes;
+    returns (last state, wave.csv rows).  A blow-up signal leaves with the
+    rows taken before it as its partial record."""
+    rows = []
+
+    def record(w):
+        rows.append((w.t, w.energy, w.gauss_residual))
+        if observer is not None:
+            observer(w)
+
+    try:
+        (last,) = wave.run_wave(d, p, observer=record)
+    except BlowUpError as err:
+        err.partial = rows
+        raise
+    return last, rows
 
 
 def _write_wave_state(path: Path, a: ConnectionField, e, t: float) -> None:
@@ -283,7 +313,8 @@ def _frame(args) -> int:
         if isinstance(err.partial, heatflow.HeatTrajectory):
             rows = _dump_heat_csv(outdir, err.partial)
         elif err.partial is not None:
-            rows = _dump_wave_csv(outdir, err.partial)
+            rows = err.partial
+            _write_wave_csv(outdir, rows)
         report = {"blow_up": str(err)}
         if rows:
             report.update(last_time=rows[-1][0], energy_initial=rows[0][1], energy_last=rows[-1][1])
@@ -349,9 +380,8 @@ def cmd_heat(grid, spec, d, params, outdir) -> dict:
 
 
 def cmd_wave(grid, spec, d, p, outdir) -> dict:
-    snapshots = wave.run_wave(d, p)
-    rows = _dump_wave_csv(outdir, snapshots)
-    last = snapshots[-1]
+    last, rows = _stream_wave(d, p)
+    _write_wave_csv(outdir, rows)
     _write_wave_state(outdir / "final.ymf", last.a, last.adot, last.t)
     return {
         "t_final": last.t,
@@ -402,8 +432,9 @@ def cmd_ed_norm(grid, spec, d, m, outdir) -> dict:
 
 def cmd_morawetz(grid, spec, d, params, outdir) -> dict:
     p, vertex, eps, t1, t2 = params
-    snapshots = wave.run_wave(d, p)
-    m = morawetz.morawetz_identity_residual(snapshots, vertex, eps, t1, t2)
+    acc = morawetz.MorawetzAccumulator(vertex, eps, t1, t2)
+    _stream_wave(d, p, observer=acc.add)
+    m = acc.report()
     columns = [
         ("t [len]", m.t),
         ("eps [len]", m.eps),
@@ -457,9 +488,9 @@ def _regress_battery(workdir: Path) -> list:
     traj = heatflow.run_heat(d.a, p)
     _dump_heat_csv(workdir, traj)
     wp = wave.WaveParams(dt=0.25 * grid.h, t_end=0.5)
-    snaps = wave.run_wave(d, wp)
-    _dump_wave_csv(workdir, snaps)
-    _write_wave_state(workdir / "final.ymf", snaps[-1].a, snaps[-1].adot, snaps[-1].t)
+    last, rows = _stream_wave(d, wp)
+    _write_wave_csv(workdir, rows)
+    _write_wave_state(workdir / "final.ymf", last.a, last.adot, last.t)
     return ["heat.csv", "wave.csv", "final.ymf"]
 
 

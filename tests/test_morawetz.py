@@ -6,6 +6,8 @@ full-grid forms that the assembly is checked against live here, as
 reference forms, not in the package.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,9 +228,8 @@ def test_morawetz_identity_residual_small_on_wave_solution():
 VERTEX = (-0.75, 0.0, 0.0, 0.0, 0.0)
 
 
-@pytest.fixture(scope="module")
-def bpst_run():
-    """Three snapshots of an open-boundary BPST run at n = 16.
+def bpst_flow():
+    """An open-boundary BPST run at n = 16 over two steps: (data, params).
 
     The electric field starts nonzero so the e-terms of every integrand are
     exercised; the comparisons below are pointwise algebra, so the Gauss
@@ -237,7 +238,13 @@ def bpst_run():
     g = Grid4(16, 0.25, boundary="open")
     a = data.bpst(g, SU2, lam=1.0)
     dt = 0.25 * g.h
-    return wave.run_wave(InitialDataSet(a, 0.1 * a.a), WaveParams(dt=dt, t_end=2 * dt))
+    return InitialDataSet(a, 0.1 * a.a), WaveParams(dt=dt, t_end=2 * dt)
+
+
+@pytest.fixture(scope="module")
+def bpst_run():
+    """The three snapshots of bpst_flow."""
+    return wave.run_wave(*bpst_flow())
 
 
 def _reference_report(snaps, vertex, eps):
@@ -322,25 +329,73 @@ def test_identity_assembly_builds_curvature_once_per_snapshot(bpst_run, monkeypa
     assert len(calls) == 2
 
 
-def test_identity_assembly_guards(bpst_run):
-    for eps in (0.0, -0.5, np.nan, np.inf):
-        with pytest.raises(FieldError):
-            morawetz.morawetz_identity_residual(bpst_run, VERTEX, eps=eps, t1=0.0, t2=1.0)
-    with pytest.raises(FieldError):  # trapezoid over unsorted times
-        morawetz.morawetz_identity_residual(bpst_run[::-1], VERTEX, eps=0.5, t1=0.0, t2=1.0)
-    with pytest.raises(FieldError):  # repeated time
-        snaps = [bpst_run[0], bpst_run[0], bpst_run[1]]
-        morawetz.morawetz_identity_residual(snaps, VERTEX, eps=0.5, t1=0.0, t2=1.0)
-    with pytest.raises(FieldError):
-        morawetz.morawetz_identity_residual(bpst_run[:1], VERTEX, eps=0.5, t1=0.0, t2=1.0)
+def test_streamed_report_equals_the_list_form(bpst_run):
+    want = morawetz.morawetz_identity_residual(bpst_run, VERTEX, eps=0.5, t1=0.0, t2=1.0)
+    acc = morawetz.MorawetzAccumulator(VERTEX, eps=0.5, t1=0.0, t2=1.0)
+    (last,) = wave.run_wave(*bpst_flow(), observer=acc.add)
+    got = acc.report()
+    assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(want)]
+    assert got.t == last.t == bpst_run[-1].t
+    # only the latest snapshot's cone window is held
+    assert acc.last.t == last.t - VERTEX[0] and acc.times == [w.t for w in bpst_run]
 
 
-def test_identity_assembly_rejects_snapshots_on_two_grids(bpst_run):
-    w = bpst_run[1]
+def _moved(w):
     other = Grid4(w.a.grid.n, w.a.grid.h)  # periodic, where the run is open
-    moved = WaveState(w.t, ConnectionField(other, SU2, w.a.a), w.adot)
-    with pytest.raises(FieldError, match="one grid"):
-        morawetz.morawetz_identity_residual([bpst_run[0], moved, bpst_run[2]], VERTEX, eps=0.5, t1=0.0, t2=1.0)
+    return WaveState(w.t, ConnectionField(other, SU2, w.a.a), w.adot)
+
+
+@pytest.mark.parametrize(
+    "pick, raised_at, match",
+    [
+        (lambda run: run[::-1], 1, "strictly increasing"),  # trapezoid over unsorted times
+        (lambda run: [run[0], run[0], run[1]], 1, "strictly increasing"),
+        (lambda run: [run[0], _moved(run[1]), run[2]], 1, "one grid"),
+        (lambda run: run[:1], None, "at least two"),
+    ],
+    ids=["unsorted", "repeated", "two-grids", "one-snapshot"],
+)
+def test_identity_assembly_guards(bpst_run, pick, raised_at, match):
+    snaps = pick(bpst_run)
+    with pytest.raises(FieldError, match=match) as listed:
+        morawetz.morawetz_identity_residual(snaps, VERTEX, eps=0.5, t1=0.0, t2=1.0)
+    # streamed, a bad snapshot is rejected as it is fed, a short window at the report
+    acc = morawetz.MorawetzAccumulator(VERTEX, eps=0.5, t1=0.0, t2=1.0)
+    for i, w in enumerate(snaps):
+        if i == raised_at:
+            with pytest.raises(FieldError) as streamed:
+                acc.add(w)
+            break
+        acc.add(w)
+    else:
+        with pytest.raises(FieldError) as streamed:
+            acc.report()
+    assert str(streamed.value) == str(listed.value)
+
+
+def test_identity_assembly_eps_and_cone_guards_when_streamed(bpst_run):
+    for eps in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(FieldError, match="eps must be finite and positive"):
+            morawetz.morawetz_identity_residual(bpst_run, VERTEX, eps=eps, t1=0.0, t2=1.0)
+        with pytest.raises(FieldError, match="eps must be finite and positive"):
+            morawetz.MorawetzAccumulator(VERTEX, eps=eps, t1=0.0, t2=1.0)
+    # a cone section the list form rejects stops the streamed run at its state:
+    # the first at the vertex time, the second past the half-box (extent 4)
+    cases = (((0.0,) * 5, "vertex time", 1), ((-1.0, 0.0, 0.0, 0.0, 0.0), "half-box", 2))
+    for vertex, match, fed in cases:
+        with pytest.raises(FieldError, match=match) as listed:
+            morawetz.morawetz_identity_residual(bpst_run, vertex, eps=0.5, t1=0.0, t2=1.0)
+        seen = []
+
+        def feed(w):
+            seen.append(w.t)
+            acc.add(w)
+
+        acc = morawetz.MorawetzAccumulator(vertex, eps=0.5, t1=0.0, t2=1.0)
+        with pytest.raises(FieldError) as streamed:
+            wave.run_wave(*bpst_flow(), observer=feed)
+        assert str(streamed.value) == str(listed.value)
+        assert seen == [w.t for w in bpst_run[:fed]]
 
 
 # -- the cone window against the whole grid ----------------------------------

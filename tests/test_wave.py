@@ -7,7 +7,7 @@ from ym4 import algebra, data
 from ym4.errors import BlowUpError
 from ym4.gaugefield import ConnectionField, InitialDataSet, zero_connection
 from ym4.grid import Grid4
-from ym4.wave import WaveParams, WaveState, run_wave, wave_step
+from ym4.wave import WaveParams, WaveState, kept_times, run_wave, wave_step
 
 SU2 = algebra.su2()
 AB = algebra.abelian()
@@ -93,6 +93,12 @@ def test_blow_up_signal_carries_partial_history():
         run_wave(d, WaveParams(dt=0.2, t_end=5.0))
     assert err.value.partial is not None
     assert len(err.value.partial) >= 1
+    # streamed, the observer has had those states and the signal keeps none
+    seen = []
+    with pytest.raises(BlowUpError) as streamed:
+        run_wave(d, WaveParams(dt=0.2, t_end=5.0), observer=seen.append)
+    assert str(streamed.value) == str(err.value) and streamed.value.partial is None
+    assert [_kept(w) for w in seen] == [_kept(w) for w in err.value.partial]
 
 
 def test_nan_energy_density_peak_is_blow_up(nan_density_peak):
@@ -134,3 +140,22 @@ def test_run_wave_shares_and_leaves_the_initial_electric_field():
     snaps = run_wave(d, WaveParams(dt=0.1, t_end=0.2))
     assert len(snaps) == 3 and d.e.tobytes() == before
     assert snaps[0].a is d.a and np.shares_memory(snaps[0].adot, d.e)
+
+
+def _kept(w):
+    """Everything run_wave records of a kept state, bit for bit."""
+    return (w.t, w.energy, w.gauss_residual, w.a.a.tobytes(), w.adot.tobytes())
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_run_wave_observer_sees_the_kept_states(stride):
+    d = data.random_data(small_grid(), SU2, seed=4, amplitude=0.05, k_band=1)
+    p = WaveParams(dt=0.1, t_end=0.7, snapshot_stride=stride)
+    kept = run_wave(d, p)
+    seen = []
+    out = run_wave(d, p, observer=seen.append)
+    assert [_kept(w) for w in seen] == [_kept(w) for w in kept]
+    assert len(out) == 1 and out[0] is seen[-1]
+    # every stride-th step and the last: 0, 3, 6 and 7 at stride 3
+    assert [w.t for w in kept] == list(kept_times(p))
+    assert len(kept) == {1: 8, 3: 4}[stride]

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -359,8 +360,8 @@ def test_cli_wave_takes_its_energies_from_the_step_loop(tmp_path, monkeypatch):
             late.append(None)
         return real_curvature(a)
 
-    def run_wave(d, p):
-        out = real_run_wave(d, p)
+    def run_wave(d, p, observer=None):
+        out = real_run_wave(d, p, observer=observer)
         returned.append(None)
         return out
 
@@ -379,6 +380,25 @@ def test_cli_wave_takes_its_energies_from_the_step_loop(tmp_path, monkeypatch):
     F.e = arr[4:]
     assert float(rows[-1][1]) == Grid4(8, 0.5).integrate(gaugefield.energy_density(F))
     assert len(rows) == 5
+
+
+def test_cli_wave_memory_does_not_grow_with_t_end(tmp_path):
+    # one state, a and adot, is 2 * 4 * 8^4 * 3 float64s (786 kB); holding
+    # every kept state would add 28 of them between 4 and 32 steps
+    state_bytes = 2 * 4 * 8**4 * 3 * 8
+    assert main(["wave", write_cfg(tmp_path), "--out", str(tmp_path / "warm")]) == 0
+    peaks = {}
+    for steps in (4, 32):
+        path = tmp_path / f"{steps}.cfg"
+        path.write_text(BASE_CFG.replace("t_end = 0.5", f"t_end = {steps * 0.125}"))
+        tracemalloc.start()
+        try:
+            assert main(["wave", str(path), "--out", str(tmp_path / str(steps))]) == 0
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads((tmp_path / str(steps) / "report.json").read_text())["steps"] == steps
+    assert peaks[32] - peaks[4] < state_bytes, peaks
 
 
 def test_cli_gen_data_builds_the_curvature_once(tmp_path, monkeypatch):
@@ -533,6 +553,13 @@ def _no_flow(*args, **kwargs):
             "[wave]",
             "[diagnostics]\nt1 = 0\nt2 = 0.7\nvertex = -0.2, 0, 0, 0, 0\n[wave]",
             "t2 = 0.7 is after [wave] t_end = 0.5",
+        ),
+        (
+            # dt = 0.125 over 4 steps: the kept states sit at t = 0 and 0.5
+            "morawetz",
+            "[wave]",
+            "[diagnostics]\nt1 = 0.1\nt2 = 0.2\nvertex = -0.2, 0, 0, 0, 0\n[wave]\nsnapshot_stride = 4",
+            "window [0.1, 0.2] holds 0 of the wave states kept (every 4 steps and the last)",
         ),
         ("gen-data", "[wave]", "[diagnostics]\neps = -1\n[wave]", "eps"),
         ("gen-data", "[wave]", "[diagnostics]\neps = nan\n[wave]", "eps"),
