@@ -240,19 +240,13 @@ class Grid4:
             out += self.partial(v[j - 1], j)
         return out
 
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(f)
-        for j in range(1, 5):
-            out += self.partial(self.partial(f, j), j)
-        return out
-
     def laplace_inverse(self, f: np.ndarray) -> np.ndarray:
         """Spectral inverse of the discrete Laplacian of f minus its mean.
 
         Modes where the discrete symbol vanishes (the mean and, for the
-        stencil backend, pure Nyquist combinations) are set to zero, so the
-        round trip laplacian(laplace_inverse(f)) reproduces f minus exactly
-        those modes.
+        stencil backend, pure Nyquist combinations) are set to zero, so
+        applying Sum_j partial_j partial_j to the result reproduces f minus
+        exactly those modes.
         """
         self._require_periodic("laplace_inverse")
         f = f - f.mean(axis=(0, 1, 2, 3), keepdims=True)

@@ -94,8 +94,9 @@ def _step(a: ConnectionField, ds: float, de_turck: bool) -> ConnectionField:
 def heat_states(a: ConnectionField, p: HeatParams, de_turck: bool = False):
     """Yield (k, s, a_s, F_s, last) along the RK2 heat flow, from k = 0.
 
-    F_s is the curvature of a_s and last marks the final step.  The zero
-    connection is a fixed point of the flow and is yielded unchanged.
+    F_s is the curvature of a_s and last marks the final step.  Every
+    connection takes the same RK2 step, which keeps the zero connection
+    exactly zero.
     """
     p.check_stability(a.grid.h)
 
@@ -103,8 +104,7 @@ def heat_states(a: ConnectionField, p: HeatParams, de_turck: bool = False):
         a_new = _step(pair[0], p.ds, de_turck)
         return a_new, curvature(a_new)
 
-    step = rk2 if a.a.any() else (lambda pair: pair)
-    for k, (a_s, F_s), last in march((a, curvature(a)), step, p.ds, p.s_max):
+    for k, (a_s, F_s), last in march((a, curvature(a)), rk2, p.ds, p.s_max):
         yield k, k * p.ds, a_s, F_s, last
 
 

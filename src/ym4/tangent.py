@@ -56,27 +56,13 @@ class CaloricDataSet:
 def linearized_rhs(B: np.ndarray, a_s: ConnectionField, F_s: CurvatureField) -> np.ndarray:
     """Derivative of the heat-flow tension D^j F_{jk} in the direction B:
     ds B_k = [B^j, F_{jk}] + D^j (D_j B_k - D_k B_j)."""
-    g = a_s.grid
-    if not a_s.a.any():
-        # zero background: covariant derivatives reduce to plain partials
-        div_B = g.divergence(B)
-        out = np.stack(
-            [g.laplacian(B[k - 1]) - g.partial(div_B, k) for k in range(1, 5)]
-        )
-        if F_s.f.any():
-            for k in range(1, 5):
-                for j in range(1, 5):
-                    if j != k:
-                        out[k - 1] += algebra.bracket_arr(
-                            a_s.spec, B[j - 1], pair_component(F_s.f, j, k)
-                        )
-        return out
     out = np.zeros_like(B)
     for k in range(1, 5):
         acc = out[k - 1]
         for j in range(1, 5):
-            if j != k:
-                acc += algebra.bracket_arr(a_s.spec, B[j - 1], pair_component(F_s.f, j, k))
+            if j == k:
+                continue  # D_k (D_k B_k - D_k B_k) = 0
+            acc += algebra.bracket_arr(a_s.spec, B[j - 1], pair_component(F_s.f, j, k))
             g_jk = covariant_derivative(a_s, B[k - 1], j) - covariant_derivative(
                 a_s, B[j - 1], k
             )
@@ -85,18 +71,6 @@ def linearized_rhs(B: np.ndarray, a_s: ConnectionField, F_s: CurvatureField) -> 
 
 
 def electric_rhs(E: np.ndarray, a_s: ConnectionField, F_s: CurvatureField) -> np.ndarray:
-    g = a_s.grid
-    if not a_s.a.any():
-        # zero background: the covariant Laplacian is the plain one
-        out = np.stack([g.laplacian(E[j - 1]) for j in range(1, 5)])
-        if F_s.f.any():
-            for j in range(1, 5):
-                for l in range(1, 5):
-                    if l != j:
-                        out[j - 1] += 2.0 * algebra.bracket_arr(
-                            a_s.spec, pair_component(F_s.f, j, l), E[l - 1]
-                        )
-        return out
     out = np.zeros_like(E)
     for j in range(1, 5):
         acc = out[j - 1]
@@ -114,16 +88,13 @@ def _coevolve(a: ConnectionField, V: np.ndarray, p: HeatParams, rhs):
 
     Yields (s, a_s, F_s, V_s) at every step boundary including s = 0.  V
     takes one RK2 step per heat step, its midpoint stage on the mean of the
-    two heat states.
+    two heat states.  The same step serves every background, the zero
+    connection included.
     """
-    static = not a.a.any()  # the zero connection is a heat-flow fixed point
     for k, s, a_s, F_s, _ in heat_states(a, p):
         if k > 0:
-            if static:
-                a_mid, F_mid = a_prev, F_prev
-            else:
-                a_mid = ConnectionField(a_s.grid, a_s.spec, 0.5 * (a_prev.a + a_s.a))
-                F_mid = curvature(a_mid)
+            a_mid = ConnectionField(a_s.grid, a_s.spec, 0.5 * (a_prev.a + a_s.a))
+            F_mid = curvature(a_mid)
             k1 = rhs(V, a_prev, F_prev)
             k2 = rhs(V + 0.5 * p.ds * k1, a_mid, F_mid)
             V = V + p.ds * k2

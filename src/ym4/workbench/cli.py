@@ -10,8 +10,10 @@ subcommand writes its .csv and .ymf files, and the frame writes report.json.
 Exit codes: 0 ok, 2 configuration error (among them a number that is not
 finite, a vector of the wrong length, a Morawetz window with t1 >= t2,
 with t2 after [wave] t_end or holding fewer than two of the states the wave
-flow keeps, and a Morawetz vertex at or after t1 or whose cone at t2 leaves
-the inner half-box), 3 invariant violation, 4 blow-up signal.
+flow keeps, a Morawetz vertex at or after t1 or whose cone at t2 leaves
+the inner half-box, a [data] value the data factories reject, caloric on a
+group other than su(2) and ed-norm on an open grid), 3 invariant violation
+(among them a Gauss projection whose solve stalls), 4 blow-up signal.
 On exit 3 or 4 once the output directory exists, report.json carries the
 message under invariant_violation or blow_up; after a blow-up the flow's
 CSV holds the rows it sampled before the signal.
@@ -44,7 +46,7 @@ from .. import algebra, data, gaugefield, heatflow, morawetz, spectral, tangent,
 from ..errors import BlowUpError, InvariantError
 from ..gaugefield import ConnectionField, FieldError, InitialDataSet
 from ..grid import Grid4, GridError
-from .config import ConfigError, ExperimentConfig, load_config, positive_float
+from .config import ConfigError, ExperimentConfig, int_at_least, load_config, positive_float
 from . import snapshot as snap
 
 EXIT_OK = 0
@@ -81,32 +83,37 @@ def build_spec(cfg: ExperimentConfig):
 
 
 def build_data(cfg: ExperimentConfig, grid: Grid4, spec) -> InitialDataSet:
+    """The [data] fields.  A value the factories reject (a negative seed, a
+    k_band below 1, an instanton scale or orientation the grid or group
+    cannot hold, su(2)-only data on another group) is a ConfigError; a
+    stalled Gauss projection of random data stays a FieldError."""
     kind = cfg.get("data", "kind", default="zero")
     if kind == "random":
         return data.random_data(
             grid,
             spec,
-            seed=cfg.get("data", "seed", default=0, cast=int),
+            seed=cfg.get("data", "seed", default=0, cast=int_at_least(0)),
             amplitude=cfg.get("data", "amplitude", default=0.1, cast=float),
-            k_band=cfg.get("data", "k_band", default=2, cast=int),
+            k_band=cfg.get("data", "k_band", default=2, cast=int_at_least(1)),
         )
-    if kind == "zero":
-        a = gaugefield.zero_connection(grid, spec)
-    elif kind == "bpst":
-        a = data.bpst(
-            grid,
-            spec,
-            center=cfg.get_floats("data", "center", default=(0.0, 0.0, 0.0, 0.0), length=4),
-            lam=cfg.get("data", "lambda", default=1.0, cast=float),
-            orientation=cfg.get("data", "orientation", default=1, cast=int),
-        )
-    elif kind == "pure-gauge":
-        O = data.smooth_transform(
-            grid, spec, seed=cfg.get("data", "seed", default=0, cast=int)
-        )
-        a = data.pure_gauge(O)
-    else:
-        raise ConfigError(f"unknown data kind {kind!r}")
+    try:
+        if kind == "zero":
+            a = gaugefield.zero_connection(grid, spec)
+        elif kind == "bpst":
+            a = data.bpst(
+                grid,
+                spec,
+                center=cfg.get_floats("data", "center", default=(0.0, 0.0, 0.0, 0.0), length=4),
+                lam=cfg.get("data", "lambda", default=1.0, cast=float),
+                orientation=cfg.get("data", "orientation", default=1, cast=int),
+            )
+        elif kind == "pure-gauge":
+            seed = cfg.get("data", "seed", default=0, cast=int_at_least(0))
+            a = data.pure_gauge(data.smooth_transform(grid, spec, seed=seed))
+        else:
+            raise ConfigError(f"unknown data kind {kind!r}")
+    except FieldError as err:
+        raise ConfigError(f"[data] {err}") from err
     # static data: a zero electric field satisfies the Gauss constraint exactly
     return InitialDataSet(a, np.zeros_like(a.a), constraint_residual=0.0)
 
@@ -150,8 +157,19 @@ def _heat_params(cfg: ExperimentConfig, grid: Grid4) -> tuple:
     return build_heat_params(cfg, grid), cfg.get_bool("heat", "de_turck")
 
 
+def _caloric_params(cfg: ExperimentConfig, grid: Grid4) -> heatflow.HeatParams:
+    """The heat flow's parameters, on an su(2) group only: the projection
+    ends with the su(2) flat trivialization."""
+    if not build_spec(cfg).is_su2:
+        raise ConfigError("caloric needs an su(2) group: the flat trivialization is su(2) only")
+    return build_heat_params(cfg, grid)
+
+
 def _ed_norm_params(cfg: ExperimentConfig, grid: Grid4) -> int:
-    """The block index the truncated norm starts above."""
+    """The block index the truncated norm starts above, on a periodic grid
+    only: the Littlewood-Paley blocks are Fourier windows."""
+    if grid.boundary != "periodic":
+        raise ConfigError("ed-norm needs a periodic grid: its blocks are Fourier windows")
     k_min = spectral.make_blocks(grid).k_min
     return cfg.get("diagnostics", "ed_truncation", default=k_min, cast=int)
 
@@ -504,7 +522,7 @@ def main(argv=None) -> int:
         ("gen-data", cmd_gen_data, _gen_data_params, False),
         ("heat", cmd_heat, _heat_params, True),
         ("wave", cmd_wave, build_wave_params, True),
-        ("caloric", cmd_caloric, build_heat_params, True),
+        ("caloric", cmd_caloric, _caloric_params, True),
         ("div-curl", cmd_div_curl, build_heat_params, True),
         ("ed-norm", cmd_ed_norm, _ed_norm_params, True),
         ("morawetz", cmd_morawetz, _morawetz_params, True),

@@ -98,6 +98,18 @@ def positive_float(val: str) -> float:
     return x
 
 
+def int_at_least(lo: int):
+    """A cast for ExperimentConfig.get that rejects an integer below lo."""
+
+    def cast(val: str) -> int:
+        x = int(val)
+        if x < lo:
+            raise ValueError(f"{val!r} is below {lo}")
+        return x
+
+    return cast
+
+
 def parse_config(text: str) -> ExperimentConfig:
     sections: Dict[str, Dict[str, str]] = {}
     current = None

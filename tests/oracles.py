@@ -38,3 +38,12 @@ def identity_transform(grid, spec) -> GaugeTransformField:
     q = np.zeros(grid.shape + (4,))
     q[..., 0] = 1.0
     return GaugeTransformField(grid, spec, q)
+
+
+def laplacian(grid, f: np.ndarray) -> np.ndarray:
+    """Sum_j partial_j partial_j f with the grid's derivative, summed in
+    order j = 1..4 onto zeros."""
+    out = np.zeros_like(f)
+    for j in range(1, 5):
+        out += grid.partial(grid.partial(f, j), j)
+    return out

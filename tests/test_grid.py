@@ -5,6 +5,8 @@ import pytest
 
 from ym4.grid import Grid4, GridError
 
+from oracles import laplacian
+
 
 def test_grid_validation():
     with pytest.raises(GridError):
@@ -92,7 +94,7 @@ def test_laplace_inverse_round_trip():
     sym = g.laplace_symbol()
     fhat = g.fft(f)
     f = np.real(g.ifft(np.where(sym != 0.0, fhat, 0.0)))
-    back = g.laplacian(g.laplace_inverse(f))
+    back = laplacian(g, g.laplace_inverse(f))
     assert np.max(np.abs(back - f)) <= 1e-10 * max(1.0, np.max(np.abs(f)))
 
 

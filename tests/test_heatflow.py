@@ -177,6 +177,23 @@ def test_caloric_size_zero_and_positive():
     assert run_heat(a, params(g, s_max=0.5, ds=0.0125)).caloric_size_accum > 0.0
 
 
+@pytest.mark.parametrize("de_turck", [False, True])
+def test_zero_connection_stays_exactly_zero(de_turck):
+    # the zero connection takes the same RK2 step as any other; the step
+    # must leave it +0.0 at every site, so its energy is exactly 0.0
+    g = small_grid()
+    zero = ConnectionField(g, SU2, np.zeros((4,) + g.shape + (3,)))
+    p = params(g, s_max=0.1, ds=0.0125)
+    traj = run_heat(zero, p, de_turck=de_turck)
+    assert traj.terminal.a.tobytes() == zero.a.tobytes()
+    assert traj.energy_series and all(e == 0.0 for e in traj.energy_series)
+    states = list(heatflow.heat_states(zero, p, de_turck=de_turck))
+    assert len(states) == 9
+    for _, _, a_s, F_s, _ in states:
+        assert a_s.a.tobytes() == zero.a.tobytes()
+        assert not F_s.f.any()
+
+
 def test_flat_trivialize_pure_gauge_roundtrip():
     g = small_grid()
     O = data.smooth_transform(g, SU2, seed=5)

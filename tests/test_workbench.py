@@ -565,6 +565,36 @@ def _no_flow(*args, **kwargs):
         ("gen-data", "[wave]", "[diagnostics]\neps = nan\n[wave]", "eps"),
         ("heat", "[heat]", "[heat]\nde_turck = maybe", "bad boolean for [heat] de_turck"),
         ("ed-norm", "[wave]", "[diagnostics]\ned_truncation = x\n[wave]", "ed_truncation"),
+        ("gen-data", "seed = 7", "seed = -1", "bad value for [data] seed: '-1'"),
+        ("gen-data", "k_band = 1", "k_band = -1", "bad value for [data] k_band: '-1'"),
+        ("gen-data", "kind = random", "kind = bpst\nlambda = 0.1", "scale 0.1 under-resolved"),
+        (
+            # lambda = 1 fits an n = 16, h = 0.25 box, so the orientation is checked
+            "gen-data",
+            "n = 8\nh = 0.5\n[data]\nkind = random",
+            "n = 16\nh = 0.25\n[data]\nkind = bpst\norientation = 2",
+            "orientation must be +1 or -1",
+        ),
+        ("gen-data", "random\nseed = 7", "pure-gauge\nseed = -1", "bad value for [data] seed"),
+        (
+            "gen-data",
+            "[data]\nkind = random",
+            "[group]\nname = abelian\n[data]\nkind = bpst",
+            "[data] the instanton generator is su(2) specific",
+        ),
+        (
+            "gen-data",
+            "[data]\nkind = random",
+            "[group]\nname = abelian\n[data]\nkind = pure-gauge",
+            "[data] field-level gauge transforms are su(2) only",
+        ),
+        ("caloric", "[wave]", "[group]\nname = abelian\n[wave]", "caloric needs an su(2) group"),
+        (
+            "ed-norm",
+            "h = 0.5\n[data]\nkind = random",
+            "h = 0.5\nboundary = open\n[data]\nkind = zero",
+            "ed-norm needs a periodic grid",
+        ),
     ],
 )
 def test_cli_bad_config_numbers_are_config_errors(
