@@ -15,7 +15,7 @@ rejected (the sum is a correctness check, not a production kernel).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -90,21 +90,17 @@ def _component_stack(F: CurvatureField) -> np.ndarray:
     return np.concatenate([F.f, F.e], axis=0)
 
 
-def lp_block_sups(
-    F: CurvatureField, blocks: Optional[LPBlockSet] = None, k_lo: Optional[int] = None
-) -> list:
-    """[(k, 2^{-2k} |P_k F|_Linf)] for every block k >= k_lo (all blocks when
-    k_lo is None), with the pointwise inner-product norm; each component is
-    transformed once, and each window multiplies its transform once."""
-    if blocks is None:
-        blocks = make_blocks(F.grid)
-    k_lo = blocks.k_min if k_lo is None else max(k_lo, blocks.k_min)
-    g = blocks.grid
+def lp_block_sups(F: CurvatureField) -> list:
+    """[(k, 2^{-2k} |P_k F|_Linf)] for every block k of the field's grid,
+    with the pointwise inner-product norm; each component is transformed
+    once, and each window multiplies its transform once."""
+    g = F.grid
+    blocks = make_blocks(g)
     stack = _component_stack(F)
     stack_hat = [g.fft(c) for c in stack]
     block = np.empty_like(stack)
     rows = []
-    for k in range(k_lo, blocks.k_max + 1):
+    for k in range(blocks.k_min, blocks.k_max + 1):
         w = blocks.window(k)[..., None]
         for c, c_hat in enumerate(stack_hat):
             block[c] = np.real(g.ifft(c_hat * w))
@@ -121,11 +117,6 @@ def sup_above(rows: list, m: float) -> float:
 def ed_norm(F: CurvatureField) -> float:
     """sup_k 2^{-2k} |P_k F|_Linf with the pointwise inner-product norm."""
     return sup_above(lp_block_sups(F), -np.inf)
-
-
-def ed_norm_truncated(F: CurvatureField, m: int, blocks: Optional[LPBlockSet] = None) -> float:
-    """The sup restricted to block indices k > m; only those windows are applied."""
-    return sup_above(lp_block_sups(F, blocks, m + 1), m)
 
 
 # -- the Q bilinear form -----------------------------------------------------
@@ -175,63 +166,6 @@ def q_bilinear(g: Grid4, spec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
             acc += algebra.bracket_arr(spec, np.broadcast_to(Ahat[l][idx], b_shift.shape), b_shift)
         chat += m[..., None] * acc
     return np.real(g.ifft(chat * n**4))
-
-
-def q_bilinear_oracle(g: Grid4, spec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Independent physical-space evaluation of the same operator.
-
-    For every pair of source sites (y, z) and output site x, the double
-    Fourier sum collapses to translated convolution kernels; here it is
-    evaluated mode pair by mode pair with explicit exponentials, no FFTs
-    and no rolls, as a cross-check oracle.  O(n^8 d); n <= 6 advised.
-    """
-    _check_small_grid(g)
-    n = g.n
-    d = spec.dim
-    # explicit DFT
-    sites = g.coords1d()
-    kap = g.wavenumbers1d()
-    phase = np.exp(-1j * np.outer(kap, sites))  # (mode, site)
-
-    def dft4(f):
-        out = f.astype(complex)
-        for ax in range(4):
-            out = np.moveaxis(np.tensordot(phase, out, axes=(1, ax)), 0, ax)
-        return out / n**4
-
-    def idft4(fhat):
-        out = fhat
-        conj = np.conj(phase).T  # (site, mode)
-        for ax in range(4):
-            out = np.moveaxis(np.tensordot(conj, out, axes=(1, ax)), 0, ax)
-        return np.real(out)
-
-    Ahat = np.stack([dft4(A[l]) for l in range(4)])
-    Bhat = np.stack([dft4(B[l]) for l in range(4)])
-    s2 = -g.laplace_symbol()
-    # honest quadruple loop over mode pairs; the activity cut is relative
-    # (DFT round-off populates every mode at ~1e-16 of the peak)
-    cut_a = 1e-13 * max(float(np.max(np.abs(Ahat))), 1e-300)
-    cut_b = 1e-13 * max(float(np.max(np.abs(Bhat))), 1e-300)
-    chat = np.zeros(g.shape + (d,), dtype=complex)
-    idxs = list(np.ndindex(g.shape))
-    for xi in idxs:
-        amp_a = Ahat[(slice(None),) + xi]
-        if np.max(np.abs(amp_a)) < cut_a:
-            continue
-        for eta in idxs:
-            amp_b = Bhat[(slice(None),) + eta]
-            if np.max(np.abs(amp_b)) < cut_b:
-                continue
-            m = q_symbol_value(np.asarray(s2[xi]), np.asarray(s2[eta]))
-            if m == 0.0:
-                continue
-            zeta = tuple((xi[i] + eta[i]) % n for i in range(4))
-            val = np.zeros(d, dtype=complex)
-            for l in range(4):
-                val += algebra.bracket_arr(spec, amp_a[l], amp_b[l])
-            chat[zeta] += m * val
-    return idft4(chat)
 
 
 def a0_quadratic_form(g: Grid4, spec, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -11,8 +11,10 @@ Exit codes: 0 ok, 2 configuration error (among them a number that is not
 finite, a vector of the wrong length, a Morawetz window with t1 >= t2,
 with t2 after [wave] t_end or holding fewer than two of the states the wave
 flow keeps, a Morawetz vertex at or after t1 or whose cone at t2 leaves
-the inner half-box, a [data] value the data factories reject, caloric on a
-group other than su(2) and ed-norm on an open grid), 3 invariant violation
+the inner half-box, a [data] value the data factories reject, a [data] or
+[group] key the chosen kind or name does not read, a group the .ymf format
+has no id for in a subcommand that writes .ymf files, caloric on a group
+other than su(2) and ed-norm on an open grid), 3 invariant violation
 (among them a Gauss projection whose solve stalls), 4 blow-up signal.
 On exit 3 or 4 once the output directory exists, report.json carries the
 message under invariant_violation or blow_up; after a blow-up the flow's
@@ -23,12 +25,12 @@ observer: each kept state gives its wave.csv row (and its Morawetz terms)
 as the flow reaches it, and only the last state is held, so memory does
 not grow with [wave] t_end.
 
-The environment variable YM4_THREADS is accepted and recorded in reports,
-but ym4 does not read it for computation.  The blocked stencil and su(2)
-bracket kernels run on one thread per usable CPU, recorded in reports as
-kernel_threads, and each site is computed by one thread in a fixed order;
-FFTs run on one worker and BLAS threading is left as it is.  So every .csv
-and .ymf output is bitwise independent of both thread counts.
+The blocked stencil and su(2) bracket kernels run on one thread per CPU
+the process may run on, recorded in reports as kernel_threads, so CPU
+affinity (taskset -c 0 ym4 ..., say) sets that count.  Each site is
+computed by one thread in a fixed order; FFTs run on one worker and BLAS
+threading is left as it is.  So every .csv and .ymf output is bitwise
+independent of both thread counts.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -68,50 +69,56 @@ def build_grid(cfg: ExperimentConfig) -> Grid4:
 
 
 def build_spec(cfg: ExperimentConfig):
+    """The [group]; a key the chosen name does not read is a ConfigError."""
     name = cfg.get("group", "name", default="su2")
+    if name == "file":
+        path = cfg.get("group", "file")
+    elif name not in ("su2", "abelian"):
+        raise ConfigError(f"unknown group name {name!r}")
+    cfg.reject_unread("group")
     if name == "su2":
         return algebra.su2()
     if name == "abelian":
         return algebra.abelian()
-    if name == "file":
-        path = cfg.get("group", "file")
-        try:
-            return algebra.load_spec(path)
-        except ValueError as err:  # AlgebraError, or a non-numeric entry
-            raise ConfigError(f"[group] file {path}: {err}") from err
-    raise ConfigError(f"unknown group name {name!r}")
+    try:
+        return algebra.load_spec(path)
+    except ValueError as err:  # AlgebraError, or a non-numeric entry
+        raise ConfigError(f"[group] file {path}: {err}") from err
 
 
 def build_data(cfg: ExperimentConfig, grid: Grid4, spec) -> InitialDataSet:
-    """The [data] fields.  A value the factories reject (a negative seed, a
-    k_band below 1, an instanton scale or orientation the grid or group
-    cannot hold, su(2)-only data on another group) is a ConfigError; a
-    stalled Gauss projection of random data stays a FieldError."""
+    """The [data] fields.  A key the chosen kind does not read, or a value
+    the factories reject (a negative seed, a k_band below 1, an instanton
+    scale or orientation the grid or group cannot hold, su(2)-only data on
+    another group), is a ConfigError; a stalled Gauss projection of random
+    data stays a FieldError."""
     kind = cfg.get("data", "kind", default="zero")
+    kwargs = {}
+    if kind in ("random", "pure-gauge"):
+        kwargs["seed"] = cfg.get("data", "seed", default=0, cast=int_at_least(0))
     if kind == "random":
-        return data.random_data(
-            grid,
-            spec,
-            seed=cfg.get("data", "seed", default=0, cast=int_at_least(0)),
+        kwargs.update(
             amplitude=cfg.get("data", "amplitude", default=0.1, cast=float),
             k_band=cfg.get("data", "k_band", default=2, cast=int_at_least(1)),
         )
+    elif kind == "bpst":
+        kwargs.update(
+            center=cfg.get_floats("data", "center", default=(0.0, 0.0, 0.0, 0.0), length=4),
+            lam=cfg.get("data", "lambda", default=1.0, cast=float),
+            orientation=cfg.get("data", "orientation", default=1, cast=int),
+        )
+    elif kind not in ("zero", "pure-gauge"):
+        raise ConfigError(f"unknown data kind {kind!r}")
+    cfg.reject_unread("data")
+    if kind == "random":
+        return data.random_data(grid, spec, **kwargs)
     try:
         if kind == "zero":
             a = gaugefield.zero_connection(grid, spec)
         elif kind == "bpst":
-            a = data.bpst(
-                grid,
-                spec,
-                center=cfg.get_floats("data", "center", default=(0.0, 0.0, 0.0, 0.0), length=4),
-                lam=cfg.get("data", "lambda", default=1.0, cast=float),
-                orientation=cfg.get("data", "orientation", default=1, cast=int),
-            )
-        elif kind == "pure-gauge":
-            seed = cfg.get("data", "seed", default=0, cast=int_at_least(0))
-            a = data.pure_gauge(data.smooth_transform(grid, spec, seed=seed))
+            a = data.bpst(grid, spec, **kwargs)
         else:
-            raise ConfigError(f"unknown data kind {kind!r}")
+            a = data.pure_gauge(data.smooth_transform(grid, spec, **kwargs))
     except FieldError as err:
         raise ConfigError(f"[data] {err}") from err
     # static data: a zero electric field satisfies the Gauss constraint exactly
@@ -217,7 +224,6 @@ def _write_resolved(cfg: ExperimentConfig, outdir: Path) -> None:
 
 def _write_report(outdir: Path, payload: dict) -> None:
     payload = dict(payload)
-    payload["threads_env"] = os.environ.get("YM4_THREADS", "")
     payload["kernel_threads"] = algebra._WORKERS
     with open(outdir / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -319,6 +325,8 @@ def _frame(args) -> int:
     cfg = load_config(args.config)
     grid = build_grid(cfg)
     spec = build_spec(cfg)
+    if args.writes_ymf:
+        snap.group_id(spec)  # a SnapshotError for a group no .ymf file can name
     d = _input_data(args, cfg, grid, spec)
     p = args.params(cfg, grid)
     outdir = _outdir(cfg, args)
@@ -518,21 +526,21 @@ def _regress_battery(workdir: Path) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ym4", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, body, params, needs_input in [
-        ("gen-data", cmd_gen_data, _gen_data_params, False),
-        ("heat", cmd_heat, _heat_params, True),
-        ("wave", cmd_wave, build_wave_params, True),
-        ("caloric", cmd_caloric, _caloric_params, True),
-        ("div-curl", cmd_div_curl, build_heat_params, True),
-        ("ed-norm", cmd_ed_norm, _ed_norm_params, True),
-        ("morawetz", cmd_morawetz, _morawetz_params, True),
+    for name, body, params, needs_input, writes_ymf in [
+        ("gen-data", cmd_gen_data, _gen_data_params, False, True),
+        ("heat", cmd_heat, _heat_params, True, True),
+        ("wave", cmd_wave, build_wave_params, True, True),
+        ("caloric", cmd_caloric, _caloric_params, True, True),
+        ("div-curl", cmd_div_curl, build_heat_params, True, True),
+        ("ed-norm", cmd_ed_norm, _ed_norm_params, True, False),
+        ("morawetz", cmd_morawetz, _morawetz_params, True, False),
     ]:
         sp = sub.add_parser(name)
         sp.add_argument("config")
         sp.add_argument("--out", default=None)
         if needs_input:
             sp.add_argument("--input", default=None, help="input snapshot file")
-        sp.set_defaults(fn=_frame, body=body, params=params)
+        sp.set_defaults(fn=_frame, body=body, params=params, writes_ymf=writes_ymf)
     rp = sub.add_parser("regress")
     rp.add_argument("workdir")
     rp.add_argument("--golden", default=None)

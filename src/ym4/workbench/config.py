@@ -2,14 +2,16 @@
 
 Format: INI-style sections [grid], [group], [data], [heat], [wave],
 [diagnostics], [output]; ``key = value`` lines; '#' comments.  Unknown
-sections or keys are rejected with the offending line number.
+sections or keys are rejected with the offending line number.  The config
+records each key it is asked for, so that a builder can reject the keys of
+a section that its choices left unread (reject_unread).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Set, Tuple
 
 SCHEMA = {
     "grid": {"n", "h", "boundary", "deriv"},
@@ -44,6 +46,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     sections: Dict[str, Dict[str, str]] = field(default_factory=dict)
     source_text: str = ""
+    asked: Set[Tuple[str, str]] = field(default_factory=set, init=False, repr=False)
 
     def get(self, section: str, key: str, default=None, cast=str):
         """[section] key through cast, or default when the key is absent.
@@ -51,6 +54,7 @@ class ExperimentConfig:
         A value cast rejects, or a cast float that is not finite, is a
         ConfigError.
         """
+        self.asked.add((section, key))
         val = self.sections.get(section, {}).get(key)
         if val is None:
             if default is None:
@@ -75,6 +79,7 @@ class ExperimentConfig:
 
     def get_bool(self, section: str, key: str) -> bool:
         """A yes/no value; False when the key is absent."""
+        self.asked.add((section, key))
         val = self.sections.get(section, {}).get(key)
         if val is None:
             return False
@@ -84,6 +89,16 @@ class ExperimentConfig:
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"bad boolean for [{section}] {key}: {val!r}")
+
+    def reject_unread(self, section: str) -> None:
+        """A ConfigError naming each key of [section] that no get has asked
+        for: given the section's other settings, it would have no effect."""
+        unread = sorted(k for k in self.sections.get(section, {}) if (section, k) not in self.asked)
+        if unread:
+            raise ConfigError(
+                f"[{section}] {', '.join(unread)}: not read given the other [{section}] "
+                "settings, so without effect"
+            )
 
 
 def _floats(val: str) -> tuple:

@@ -8,7 +8,7 @@ from ym4.gaugefield import ConnectionField, CurvatureField, curvature
 from ym4.grid import Grid4
 from ym4.spectral import SpectralError
 
-from oracles import laplacian
+from oracles import laplacian, q_bilinear_oracle
 
 SU2 = algebra.su2()
 
@@ -54,7 +54,7 @@ def test_lp_blocks_single_mode_localization():
     f = np.cos(kap * g.coordinate_field(1))
     comps = np.zeros((6,) + g.shape + (3,))
     comps[0, ..., 0] = f
-    rows = spectral.lp_block_sups(CurvatureField(g, SU2, comps), blocks)
+    rows = spectral.lp_block_sups(CurvatureField(g, SU2, comps))
     assert [k for k, _ in rows] == list(range(blocks.k_min, blocks.k_max + 1))
     for k, sup in rows:
         want = 2.0 ** (-2 * k) * np.max(np.abs(project(blocks, f, k)))
@@ -94,33 +94,14 @@ def test_ed_norm_zero_single_mode_and_truncation():
     assert abs(val - 2.0 ** (-2 * k0)) <= 0.1 * 2.0 ** (-2 * k0)
     # truncation: below the ladder it is the full norm, above it vanishes,
     # and it never increases in m
-    assert spectral.ed_norm_truncated(F, blocks.k_min - 1, blocks) == val
-    assert spectral.ed_norm_truncated(F, blocks.k_max, blocks) == 0.0
+    rows = spectral.lp_block_sups(F)
+    assert spectral.sup_above(rows, blocks.k_min - 1) == val
+    assert spectral.sup_above(rows, blocks.k_max) == 0.0
     prev = np.inf
     for m in range(blocks.k_min - 1, blocks.k_max + 1):
-        cur = spectral.ed_norm_truncated(F, m, blocks)
+        cur = spectral.sup_above(rows, m)
         assert cur <= prev + 1e-15
         prev = cur
-
-
-def test_ed_norm_truncated_applies_only_the_windows_above_m(monkeypatch):
-    g = small_grid()
-    F = curvature(data.random_connection(g, SU2, seed=1, amplitude=0.1, k_band=1))
-    blocks = spectral.make_blocks(g)
-    rows = spectral.lp_block_sups(F, blocks)
-    calls = []
-    window = spectral.LPBlockSet.window
-
-    def counted(self, k):
-        calls.append(k)
-        return window(self, k)
-
-    monkeypatch.setattr(spectral.LPBlockSet, "window", counted)
-    for m in range(blocks.k_min - 1, blocks.k_max + 1):
-        calls.clear()
-        val = spectral.ed_norm_truncated(F, m, blocks)
-        assert calls == list(range(max(m + 1, blocks.k_min), blocks.k_max + 1))
-        assert val == spectral.sup_above(rows, m)
 
 
 def test_ed_norm_paired_grid_scale_step():
@@ -149,7 +130,7 @@ def test_q_bilinear_matches_mode_pair_oracle():
     A = single_mode_field(g, (1, 0, 0, 0), seed=3) + single_mode_field(g, (0, 2, 0, 0), seed=4)
     B = single_mode_field(g, (0, 0, 1, 0), seed=5) + single_mode_field(g, (1, 0, 0, 1), seed=6)
     fast = spectral.q_bilinear(g, SU2, A, B)
-    oracle = spectral.q_bilinear_oracle(g, SU2, A, B)
+    oracle = q_bilinear_oracle(g, SU2, A, B)
     scale = max(g.l2norm(oracle), 1e-300)
     assert g.l2norm(fast - oracle) <= 1e-12 * scale
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -446,20 +447,83 @@ def test_cli_regress_golden_cycle(tmp_path):
     assert main(["regress", str(work3), "--golden", str(golden)]) == 3
 
 
-def test_cli_outputs_independent_of_thread_env(tmp_path):
+# runs the CLI with the CPU affinity given as its first argument, which
+# must be set before ym4 is imported: the kernels take their thread count
+# from it at import
+AFFINE_CLI = (
+    "import os, sys; os.sched_setaffinity(0, {int(c) for c in sys.argv[1].split(',')}); "
+    "from ym4.workbench.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
+def test_cli_kernel_threads_follow_cpu_affinity(tmp_path):
     cfg = write_cfg(tmp_path)
+    cpus = sorted(os.sched_getaffinity(0))
     outs = {}
-    for threads in ("1", "4"):
-        out = tmp_path / f"t{threads}"
-        env = dict(os.environ, YM4_THREADS=threads)
+    for allowed in (cpus[:1], cpus):
+        out = tmp_path / f"t{len(allowed)}"
         proc = subprocess.run(
-            [sys.executable, "-m", "ym4.workbench.cli", "gen-data", cfg, "--out", str(out)],
-            env=env,
+            [sys.executable, "-c", AFFINE_CLI, ",".join(map(str, allowed))]
+            + ["gen-data", cfg, "--out", str(out)],
             capture_output=True,
         )
         assert proc.returncode == 0, proc.stderr.decode()
-        outs[threads] = (out / "data.ymf").read_bytes()
-    assert outs["1"] == outs["4"]
+        assert strict_json(out / "report.json")["kernel_threads"] == len(allowed)
+        outs[len(allowed)] = (out / "data.ymf").read_bytes()
+    assert outs[1] == outs[len(cpus)]
+
+
+# a periodic n = 20 grid: a kernel call on one component covers 10 blocks,
+# enough for run_blocks to hand some of them to a pool thread
+N20_CFG = """
+[grid]
+n = 20
+h = 0.5
+[data]
+kind = random
+seed = 3
+amplitude = 0.05
+k_band = 1
+[heat]
+ds_factor = 0.05
+s_max = 0.05
+[wave]
+cfl = 0.25
+t_end = 0.5
+"""
+
+
+def test_cli_outputs_equal_on_one_and_two_kernel_threads(tmp_path, monkeypatch):
+    handed = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            handed.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "ThreadPoolExecutor", CountingPool)
+    path = tmp_path / "exp.cfg"
+    path.write_text(N20_CFG)
+    outs, handoffs = {}, {}
+    for workers in (1, 2):
+        monkeypatch.setattr(algebra, "_WORKERS", workers)
+        monkeypatch.setattr(algebra, "_pool", None)
+        handed.clear()
+        files = {}
+        given = ["--input", str(tmp_path / f"gen-data-{workers}" / "data.ymf")]
+        for command, source in [("gen-data", []), ("heat", given), ("wave", given)]:
+            out = tmp_path / f"{command}-{workers}"
+            assert main([command, str(path), "--out", str(out)] + source) == 0
+            assert strict_json(out / "report.json")["kernel_threads"] == workers
+            for f in sorted(out.iterdir()):
+                if f.suffix in (".csv", ".ymf"):
+                    files[f"{command}/{f.name}"] = f.read_bytes()
+        if algebra._pool is not None:
+            algebra._pool.shutdown()
+        outs[workers], handoffs[workers] = files, len(handed)
+    assert handoffs[1] == 0 and handoffs[2] > 0
+    assert len(outs[1]) == 5 and outs[1] == outs[2]
 
 
 @pytest.mark.parametrize(
@@ -478,6 +542,9 @@ def test_cli_bad_flow_parameters_are_config_errors(tmp_path, capsys, command, ol
     err = capsys.readouterr().err
     assert "config error" in err and reason in err
 
+
+# BASE_CFG's [data] keys, all of which only kind = random reads
+RANDOM_DATA = "kind = random\nseed = 7\namplitude = 0.05\nk_band = 1"
 
 MORAWETZ_DIAGNOSTICS = """[diagnostics]
 eps = 0.5
@@ -501,7 +568,6 @@ def test_cli_every_subcommand_writes_its_record(tmp_path, command):
     assert (out / "config.resolved").read_text() == text
     report = strict_json(out / "report.json")
     assert report["kernel_threads"] == algebra._WORKERS
-    assert report["threads_env"] == os.environ.get("YM4_THREADS", "")
 
 
 def test_cli_rejected_parameter_leaves_no_output_directory(tmp_path):
@@ -526,8 +592,8 @@ def _no_flow(*args, **kwargs):
     [
         ("gen-data", "amplitude = 0.05", "amplitude = nan", "amplitude is not finite"),
         ("heat", "s_max = 0.2", "s_max = inf", "s_max is not finite"),
-        ("gen-data", "kind = random", "kind = bpst\ncenter = 0, 0, inf, 0", "not finite"),
-        ("gen-data", "kind = random", "kind = bpst\ncenter = 0, 0, 0", "takes 4 numbers"),
+        ("gen-data", RANDOM_DATA, "kind = bpst\ncenter = 0, 0, inf, 0", "not finite"),
+        ("gen-data", RANDOM_DATA, "kind = bpst\ncenter = 0, 0, 0", "takes 4 numbers"),
         ("morawetz", "[wave]", "[diagnostics]\nt1 = 0\nt2 = 0.5\nvertex = -1, 0, 0\n[wave]", "takes 5"),
         ("morawetz", "[wave]", "[diagnostics]\nt1 = 0\nt2 = 0.5\neps = -1\n[wave]", "eps"),
         (
@@ -567,31 +633,31 @@ def _no_flow(*args, **kwargs):
         ("ed-norm", "[wave]", "[diagnostics]\ned_truncation = x\n[wave]", "ed_truncation"),
         ("gen-data", "seed = 7", "seed = -1", "bad value for [data] seed: '-1'"),
         ("gen-data", "k_band = 1", "k_band = -1", "bad value for [data] k_band: '-1'"),
-        ("gen-data", "kind = random", "kind = bpst\nlambda = 0.1", "scale 0.1 under-resolved"),
+        ("gen-data", RANDOM_DATA, "kind = bpst\nlambda = 0.1", "scale 0.1 under-resolved"),
         (
             # lambda = 1 fits an n = 16, h = 0.25 box, so the orientation is checked
             "gen-data",
-            "n = 8\nh = 0.5\n[data]\nkind = random",
+            "n = 8\nh = 0.5\n[data]\n" + RANDOM_DATA,
             "n = 16\nh = 0.25\n[data]\nkind = bpst\norientation = 2",
             "orientation must be +1 or -1",
         ),
-        ("gen-data", "random\nseed = 7", "pure-gauge\nseed = -1", "bad value for [data] seed"),
+        ("gen-data", RANDOM_DATA, "kind = pure-gauge\nseed = -1", "bad value for [data] seed"),
         (
             "gen-data",
-            "[data]\nkind = random",
+            "[data]\n" + RANDOM_DATA,
             "[group]\nname = abelian\n[data]\nkind = bpst",
             "[data] the instanton generator is su(2) specific",
         ),
         (
             "gen-data",
-            "[data]\nkind = random",
+            "[data]\n" + RANDOM_DATA,
             "[group]\nname = abelian\n[data]\nkind = pure-gauge",
             "[data] field-level gauge transforms are su(2) only",
         ),
         ("caloric", "[wave]", "[group]\nname = abelian\n[wave]", "caloric needs an su(2) group"),
         (
             "ed-norm",
-            "h = 0.5\n[data]\nkind = random",
+            "h = 0.5\n[data]\n" + RANDOM_DATA,
             "h = 0.5\nboundary = open\n[data]\nkind = zero",
             "ed-norm needs a periodic grid",
         ),
@@ -608,6 +674,74 @@ def test_cli_bad_config_numbers_are_config_errors(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and reason in err
     assert not (tmp_path / "o").exists()
+
+
+# zero data reads no [data] key but kind
+ZERO_DATA_WITH_STRAY_KEYS = "kind = zero\nseed = 7\nk_band = 1\nlambda = 3"
+
+
+@pytest.mark.parametrize(
+    "command, old, new, unread",
+    [
+        ("gen-data", RANDOM_DATA, ZERO_DATA_WITH_STRAY_KEYS, "k_band, lambda, seed"),
+        ("wave", RANDOM_DATA, ZERO_DATA_WITH_STRAY_KEYS, "k_band, lambda, seed"),
+        ("gen-data", "k_band = 1", "k_band = 1\ncenter = 0, 0, 0, 0", "center"),
+        ("heat", RANDOM_DATA, "kind = bpst\namplitude = 0.05", "amplitude"),
+        ("gen-data", RANDOM_DATA, "kind = pure-gauge\nseed = 2\norientation = -1", "orientation"),
+        ("morawetz", "[data]", "[group]\nname = su2\nfile = su2.spec\n[data]", "[group] file"),
+        ("gen-data", "[data]", "[group]\nname = abelian\nfile = su2.spec\n[data]", "[group] file"),
+    ],
+)
+def test_cli_unread_data_and_group_keys_are_config_errors(
+    tmp_path, capsys, monkeypatch, command, old, new, unread
+):
+    for module, flow in [(wave, "run_wave"), (heatflow, "run_heat")]:
+        monkeypatch.setattr(module, flow, _no_flow)
+    path = tmp_path / "exp.cfg"
+    path.write_text(BASE_CFG.replace(old, new) + MORAWETZ_DIAGNOSTICS)
+    assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{unread}: not read given the other" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_input_leaves_the_data_keys_unchecked(tmp_path):
+    # gen-data and heat --input share one config, and heat reads no [data]
+    cfg = write_cfg(tmp_path)
+    assert main(["gen-data", cfg, "--out", str(tmp_path / "gen")]) == 0
+    zero = tmp_path / "zero.cfg"
+    zero.write_text(BASE_CFG.replace(RANDOM_DATA, "kind = zero\nseed = 7"))
+    for command in ("heat", "wave"):
+        argv = [command, str(zero), "--input", str(tmp_path / "gen" / "data.ymf")]
+        assert main(argv + ["--out", str(tmp_path / command)]) == 0
+
+
+# twice the su(2) structure constants: a Lie algebra, but neither su(2) nor
+# abelian, so the .ymf format has no group id for it
+SO3_SPEC = """name = so3
+dim = 3
+c = 0 0 0  0 0 2  0 -2 0
+    0 0 -2  0 0 0  2 0 0
+    0 2 0  -2 0 0  0 0 0
+"""
+
+
+def test_cli_group_without_snapshot_id_only_where_no_snapshot_is_written(
+    tmp_path, capsys, monkeypatch
+):
+    spec = tmp_path / "so3.spec"
+    spec.write_text(SO3_SPEC)
+    path = tmp_path / "exp.cfg"
+    path.write_text(BASE_CFG + MORAWETZ_DIAGNOSTICS + f"[group]\nname = file\nfile = {spec}\n")
+    for command in ("ed-norm", "morawetz"):
+        assert main([command, str(path), "--out", str(tmp_path / command)]) == 0
+    for module, flow in [(wave, "run_wave"), (heatflow, "run_heat")]:
+        monkeypatch.setattr(module, flow, _no_flow)
+    for command in ("gen-data", "heat", "wave", "div-curl"):
+        out = tmp_path / f"o-{command}"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert "config error: no snapshot group id registered for 'so3'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_heat_energy_rise_is_invariant_violation(tmp_path, capsys, monkeypatch):
@@ -672,9 +806,9 @@ def test_cli_ed_norm_one_window_per_block(tmp_path, monkeypatch):
     F = curvature(d.a)
     with open(out / "ed.csv") as fh:
         rows = [(int(k), float(v)) for k, v in list(csv.reader(fh))[1:]]
-    assert rows == spectral.lp_block_sups(F, blocks)
+    assert rows == spectral.lp_block_sups(F)
     report = json.loads((out / "report.json").read_text())
     assert report["truncation_index"] == 2
     assert report["ed_norm"] == spectral.ed_norm(F)
-    assert report["ed_norm_truncated"] == spectral.ed_norm_truncated(F, 2, blocks)
+    assert report["ed_norm_truncated"] == spectral.sup_above(rows, 2)
     assert 0.0 < report["ed_norm_truncated"] < report["ed_norm"]
