@@ -28,6 +28,10 @@ Derivative backends:
 
 Boundary modes:
   - "periodic" (default): wrap-around stencils, FFT machinery available.
+    scipy.fft is imported by the first transform (fft_backend), or by the
+    CLI when the config's grid is periodic, never when ym4 loads or a grid
+    is built: the import takes about 0.4 s, most of it scipy.special, and
+    open-grid runs, which never transform, never load it.
   - "open": one-sided fourth-order stencils at the box faces, for sampled
     whole-space fields that do not close up across the seam; spectral
     operations are unavailable.
@@ -39,13 +43,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import algebra
 
 # scipy.fft worker count is pinned so reductions and transforms are
 # bitwise reproducible regardless of the requested thread budget
 _FFT_WORKERS = 1
+
+
+def fft_backend():
+    """scipy.fft, imported on the first call."""
+    import scipy.fft
+
+    return scipy.fft
 
 
 class GridError(ValueError):
@@ -122,15 +132,15 @@ class Grid4:
 
     def fft(self, f: np.ndarray) -> np.ndarray:
         self._require_periodic("fft")
-        return scipy.fft.fftn(f, axes=(0, 1, 2, 3), workers=_FFT_WORKERS)
+        return fft_backend().fftn(f, axes=(0, 1, 2, 3), workers=_FFT_WORKERS)
 
     def ifft(self, fhat: np.ndarray) -> np.ndarray:
         self._require_periodic("ifft")
-        return scipy.fft.ifftn(fhat, axes=(0, 1, 2, 3), workers=_FFT_WORKERS)
+        return fft_backend().ifftn(fhat, axes=(0, 1, 2, 3), workers=_FFT_WORKERS)
 
     def wavenumbers1d(self) -> np.ndarray:
         """kappa values in FFT order for one axis."""
-        return 2.0 * np.pi * scipy.fft.fftfreq(self.n, d=self.h)
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
 
     def deriv_symbol1d(self) -> np.ndarray:
         """Imaginary part of the first-derivative symbol per mode, one axis.

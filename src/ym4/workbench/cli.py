@@ -31,6 +31,10 @@ affinity (taskset -c 0 ym4 ..., say) sets that count.  Each site is
 computed by one thread in a fixed order; FFTs run on one worker and BLAS
 threading is left as it is.  So every .csv and .ymf output is bitwise
 independent of both thread counts.
+
+scipy.fft is imported by build_grid when the config's grid is periodic,
+before any field is read or generated; a run on an open grid never
+transforms and never imports it.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 from .. import algebra, data, gaugefield, heatflow, morawetz, spectral, tangent, wave
 from ..errors import BlowUpError, InvariantError
 from ..gaugefield import ConnectionField, FieldError, InitialDataSet
-from ..grid import Grid4, GridError
+from ..grid import Grid4, GridError, fft_backend
 from .config import ConfigError, ExperimentConfig, int_at_least, load_config, positive_float
 from . import snapshot as snap
 
@@ -60,12 +64,18 @@ EXIT_BLOWUP = 4
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid4:
-    return Grid4(
+    """The [grid].  A periodic grid loads the FFT backend here, before any
+    field is read or generated, so that the import's allocations do not
+    land between the field arrays of the first transform."""
+    grid = Grid4(
         n=cfg.get("grid", "n", cast=int),
         h=cfg.get("grid", "h", cast=float),
         boundary=cfg.get("grid", "boundary", default="periodic"),
         deriv=cfg.get("grid", "deriv", default="stencil4"),
     )
+    if grid.boundary == "periodic":
+        fft_backend()
+    return grid
 
 
 def build_spec(cfg: ExperimentConfig):

@@ -342,6 +342,16 @@ def test_criterion_9_energy_dispersion():
     )
 
 
+# a ym4 CLI run whose CPU affinity is set before ym4 loads, which fixes its
+# kernel thread count
+_PINNED_CLI = (
+    "import os, sys\n"
+    "os.sched_setaffinity(0, {cpus!r})\n"
+    "from ym4.workbench.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
 def test_criterion_10_determinism(tmp_path):
     t0 = time.time()
     cfg = tmp_path / "exp.cfg"
@@ -349,28 +359,29 @@ def test_criterion_10_determinism(tmp_path):
         "[grid]\nn = 8\nh = 0.5\n[data]\nkind = random\nseed = 7\namplitude = 0.05\n"
         "k_band = 1\n[heat]\nds_factor = 0.05\ns_max = 0.2\n[wave]\ncfl = 0.25\nt_end = 0.5\n"
     )
+    usable = sorted(os.sched_getaffinity(0))
     blobs = {}
-    for threads in ("1", "4"):
+    for label, cpus in (("one", usable[:1]), ("all", usable)):
         outs = {}
         for cmd in ("gen-data", "heat", "wave"):
-            out = tmp_path / f"{cmd}-{threads}"
-            env = dict(os.environ, YM4_THREADS=threads)
+            out = tmp_path / f"{cmd}-{label}"
             proc = subprocess.run(
-                [sys.executable, "-m", "ym4.workbench.cli", cmd, str(cfg), "--out", str(out)],
-                env=env,
+                [sys.executable, "-c", _PINNED_CLI.format(cpus=set(cpus)), cmd, str(cfg), "--out", str(out)],
                 capture_output=True,
             )
             assert proc.returncode == 0, proc.stderr.decode()
+            report = json.loads((out / "report.json").read_text())
+            assert report["kernel_threads"] == len(cpus), (label, report["kernel_threads"])
             for f in sorted(out.iterdir()):
                 if f.suffix in (".ymf", ".csv"):
                     outs[f"{cmd}/{f.name}"] = f.read_bytes()
-        blobs[threads] = outs
-    same = blobs["1"] == blobs["4"]
+        blobs[label] = outs
+    same = blobs["one"] == blobs["all"]
     el = time.time() - t0
-    ok = same and len(blobs["1"]) >= 4
+    ok = same and len(blobs["one"]) >= 4
     _report(
         10,
         "thread-count determinism",
         ok,
-        f"{len(blobs['1'])} artifacts bitwise-identical: {same}, {el:.0f}s",
+        f"{len(blobs['one'])} artifacts bitwise-identical: {same}, {el:.0f}s",
     )

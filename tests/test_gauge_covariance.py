@@ -11,9 +11,12 @@ and the energy density, a sum of squared norms, is unchanged.  For the
 same reason the covariant derivatives D_j = partial_j + [a_j, .] commute
 with Ad(O): the Yang-Mills tension and the covariant divergence of an
 Ad(O)-rotated field are rotated by Ad(O), and the topological charge
-density, a pairing of f with its Hodge dual, is unchanged.  These are
-exact identities of the discrete scheme, checked on random connections
-on periodic and open n = 8 grids.
+density, a pairing of f with its Hodge dual, is unchanged.  A whole step
+of either flow is built from these and from linear combinations, so one
+leapfrog wave step maps (Ad(O) a, Ad(O) adot) to the rotated step of
+(a, adot), and one RK2 heat step maps Ad(O) a to the rotated step of a.
+These are exact identities of the discrete scheme, checked on random
+connections on periodic and open n = 8 grids.
 """
 
 import numpy as np
@@ -32,6 +35,8 @@ from ym4.gaugefield import (
     gauge_transform,
 )
 from ym4.grid import Grid4
+from ym4.heatflow import HeatParams, heat_states
+from ym4.wave import WaveState, wave_step
 
 SU2 = algebra.su2()
 SETTINGS = settings(max_examples=20, deadline=None)
@@ -107,3 +112,29 @@ def test_chi_density_is_gauge_invariant(case):
     got = chi_density(curvature(moved))
     # |<f, *f>| <= |f|^2 sitewise, so the energy density bounds the scale
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(energy_density(F))
+
+
+@SETTINGS
+@given(case=cases)
+def test_wave_step_is_gauge_covariant(case):
+    a, rot, moved = _transformed(**case)
+    adot = np.random.default_rng(case["seed"] + 1).normal(size=a.a.shape)
+    dt = 0.25 * a.grid.h
+    want = wave_step(WaveState(0.0, a, adot), dt)
+    got = wave_step(WaveState(0.0, moved, _rotate(rot, adot)), dt)
+    for moved_out, out in ((got.a.a, want.a.a), (got.adot, want.adot)):
+        out = _rotate(rot, out)
+        assert np.max(np.abs(moved_out - out)) <= 1e-12 * np.max(np.abs(out))
+
+
+@SETTINGS
+@given(case=cases, de_turck=st.booleans())
+def test_heat_step_is_gauge_covariant(case, de_turck):
+    a, rot, moved = _transformed(**case)
+    ds = 0.05 * a.grid.h**2
+    p = HeatParams(ds=ds, s_max=ds)
+    *_, (k, _, want, _, _) = heat_states(a, p, de_turck)
+    *_, (_, _, got, _, _) = heat_states(moved, p, de_turck)
+    assert k == 1
+    want = _rotate(rot, want.a)
+    assert np.max(np.abs(got.a - want)) <= 1e-12 * np.max(np.abs(want))

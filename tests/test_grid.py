@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from ym4.grid import Grid4, GridError
 
@@ -25,6 +26,16 @@ def test_grid_validation():
 def test_grid_rejects_non_finite_spacing(h):
     with pytest.raises(GridError):
         Grid4(8, h)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 18, 20, 24, 32])
+@pytest.mark.parametrize("h", [0.5, 0.25, 0.1, 1.0 / 3.0])
+def test_wavenumbers_equal_scipy_fftfreq_bitwise(n, h):
+    """numpy's fftfreq gives the kappas scipy.fft's did, to the bit, so the
+    spectral symbols need no scipy.fft import."""
+    got = Grid4(n, h).wavenumbers1d()
+    want = 2.0 * np.pi * scipy.fft.fftfreq(n, d=h)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_coordinates_and_extent():
