@@ -1,4 +1,5 @@
-"""The one fixed-step time loop shared by the heat and wave flows."""
+"""The one fixed-step time loop shared by the heat and wave flows, and the
+in-place update their stages are built with."""
 
 from __future__ import annotations
 
@@ -19,3 +20,11 @@ def march(state, step, dt: float, t_end: float):
     for k in range(1, n_steps + 1):
         state = step(state)
         yield k, state, k == n_steps
+
+
+def axpy(c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y + c * x built in x's buffer, which it overwrites: the same IEEE
+    operations as that expression, without its temporaries."""
+    x *= c
+    x += y
+    return x

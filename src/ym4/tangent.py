@@ -13,6 +13,10 @@ produced from the electric parabolic flow
 with a0 = Integral_0^{s_max} D^l E_l(s) ds accumulated by the trapezoid
 rule along the co-evolution (in the flat case this reproduces the Helmholtz
 potential -Lap^{-1} div e, so b is the divergence-free part of e).
+Working set: a co-evolved step holds the two heat states, the earlier one's
+curvature, V, its midpoint stage and the midpoint connection; the electric
+pass is freed before the tangent pass, and div_curl_decompose allocates at
+most 12.9 connection-sized arrays at a time at n = 12.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .gaugefield import (
     pair_component,
 )
 from .heatflow import HeatParams, heat_states
-from .stepping import step_count
+from .stepping import axpy, step_count
 
 
 @dataclass
@@ -94,10 +98,9 @@ def _coevolve(a: ConnectionField, V: np.ndarray, p: HeatParams, rhs):
     for k, s, a_s, F_s, _ in heat_states(a, p):
         if k > 0:
             a_mid = ConnectionField(a_s.grid, a_s.spec, 0.5 * (a_prev.a + a_s.a))
-            F_mid = curvature(a_mid)
-            k1 = rhs(V, a_prev, F_prev)
-            k2 = rhs(V + 0.5 * p.ds * k1, a_mid, F_mid)
-            V = V + p.ds * k2
+            V_mid = axpy(0.5 * p.ds, rhs(V, a_prev, F_prev), V)
+            V = axpy(p.ds, rhs(V_mid, a_mid, curvature(a_mid)), V)
+            del a_mid, V_mid  # not read by the next heat step
             if not np.all(np.isfinite(V)):
                 raise BlowUpError("co-evolved linear flow produced non-finite values")
         a_prev, F_prev = a_s, F_s
@@ -187,6 +190,21 @@ def div_curl_decompose(
     results agree with the step loop to round-off at any step count.
     """
     g = a.grid
+    a0, terminal_E_l2 = _electric_pass(a, e, p, fast_flat)
+    b = np.empty_like(e)
+    for j in range(1, 5):
+        b[j - 1] = e[j - 1] + covariant_derivative(a, a0, j)
+    tv = TangentVector(a, b)
+    tv.tangent_residual = tangent_residual(b, a, p, fast_flat=fast_flat)
+    e_scale = max(g.l2norm(e), 1e-300)
+    tail = terminal_E_l2 / e_scale > p.stop_F_tol
+    return CaloricDataSet(a, tv, a0, tail_flagged=tail)
+
+
+def _electric_pass(a: ConnectionField, e: np.ndarray, p: HeatParams, fast_flat: bool) -> tuple:
+    """(a0, |E(s_max)|_2) from the electric flow co-evolved with a; the
+    pass's states and fields are freed when it returns."""
+    g = a.grid
     if fast_flat and not a.a.any() and g.boundary == "periodic":
         _, g_n, trapz = _flat_mode_factors(g, p)
         ehat = [g.fft(e[j - 1]) for j in range(1, 5)]
@@ -195,22 +213,12 @@ def div_curl_decompose(
         )
         a0 = np.real(g.ifft(trapz[..., None] * div_hat))
         g_n_e = g_n[..., None]
-        terminal_E = np.stack([np.real(g.ifft(g_n_e * eh)) for eh in ehat])
-    else:
-        a0 = np.zeros(g.shape + (a.spec.dim,))
-        prev_div = None
-        terminal_E = e
-        for s, a_s, F_s, E in _coevolve(a, e, p, electric_rhs):
-            div_E = covariant_divergence(a_s, E)
-            if prev_div is not None:
-                a0 += 0.5 * p.ds * (prev_div + div_E)
-            prev_div = div_E
-            terminal_E = E
-    b = np.empty_like(e)
-    for j in range(1, 5):
-        b[j - 1] = e[j - 1] + covariant_derivative(a, a0, j)
-    tv = TangentVector(a, b)
-    tv.tangent_residual = tangent_residual(b, a, p, fast_flat=fast_flat)
-    e_scale = max(g.l2norm(e), 1e-300)
-    tail = g.l2norm(terminal_E) / e_scale > p.stop_F_tol
-    return CaloricDataSet(a, tv, a0, tail_flagged=tail)
+        return a0, g.l2norm(np.stack([np.real(g.ifft(g_n_e * eh)) for eh in ehat]))
+    a0 = np.zeros(g.shape + (a.spec.dim,))
+    prev_div = None
+    for _, a_s, _, E in _coevolve(a, e, p, electric_rhs):
+        div_E = covariant_divergence(a_s, E)
+        if prev_div is not None:
+            a0 += 0.5 * p.ds * (prev_div + div_E)
+        prev_div = div_E
+    return a0, g.l2norm(E)
