@@ -113,34 +113,42 @@ def smooth_transform(grid: Grid4, spec, seed: int = 0) -> GaugeTransformField:
     return GaugeTransformField(grid, spec, algebra.quat_exp(coeffs))
 
 
-def _band_limited_field(grid: Grid4, rng, k_band: int, shape_tail, window: bool = True) -> np.ndarray:
-    """Gaussian random field with modes |xi_int| <= k_band, zero mean;
-    windowed into the inner half-box unless window=False."""
-    n = grid.n
-    freqs = np.fft.fftfreq(n, d=1.0 / n)  # integer frequencies
-    idx = np.abs(freqs) <= k_band
-    noise = rng.normal(size=grid.shape + shape_tail) + 1j * rng.normal(
-        size=grid.shape + shape_tail
-    )
-    sel = np.ones(grid.shape, dtype=bool)
-    for j in range(1, 5):
-        shape = [1, 1, 1, 1]
-        shape[grid.axis(j)] = n
-        sel &= np.broadcast_to(idx.reshape(shape), grid.shape)
-    sel_f = sel.reshape(grid.shape + (1,) * len(shape_tail))
-    fhat = np.where(sel_f, noise, 0.0)
-    raw = np.real(np.fft.ifftn(fhat, axes=(0, 1, 2, 3)))
-    raw /= np.max(np.abs(raw))  # unit sup norm; the caller sets the scale
-    if not window:
-        raw -= raw.mean(axis=(0, 1, 2, 3), keepdims=True)
-        return raw
-    # compactly supported cosine window: 1 inside 0.55*(L/4), 0 outside L/4
+def _cosine_window(grid: Grid4) -> np.ndarray:
+    """Compactly supported cosine window: 1 inside 0.55*(L/4), 0 outside L/4."""
     r = grid.radius()
     r1 = grid.extent / 4.0
     r0 = 0.55 * r1
     prof = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
     # cos(pi/2) rounds to ~1e-17, not 0; force exact compact support
-    window = np.where(prof >= 1.0, 0.0, np.cos(0.5 * np.pi * prof) ** 2)
+    return np.where(prof >= 1.0, 0.0, np.cos(0.5 * np.pi * prof) ** 2)
+
+
+def _band_limited_field(grid: Grid4, rng, k_band: int, shape_tail, window=None) -> np.ndarray:
+    """Gaussian random field with modes |xi_int| <= k_band, zero mean;
+    multiplied by window (a _cosine_window) unless window is None.
+
+    The complex noise is drawn on the whole grid, so the seeded stream
+    advances as for a full spectrum, but only its (2 k_band + 1)^4 band block
+    is transformed: axis by axis, last axis first as np.fft.ifftn goes, each
+    axis zero-padded to n just before its 1-D inverse FFT.  Every line left
+    out is all zeros in ifftn's pass too and transforms to zeros, and every
+    line transformed carries the same values, so the field is byte-equal to
+    ifftn of the zero-filled spectrum.
+    """
+    n = grid.n
+    band = np.flatnonzero(np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= k_band)
+    block = np.ix_(band, band, band, band)
+    noise = rng.normal(size=grid.shape + shape_tail)[block]
+    spec = noise + 1j * rng.normal(size=grid.shape + shape_tail)[block]
+    for ax in (3, 2, 1, 0):
+        padded = np.zeros(spec.shape[:ax] + (n,) + spec.shape[ax + 1 :], dtype=complex)
+        padded[(slice(None),) * ax + (band,)] = spec
+        spec = np.fft.ifft(padded, axis=ax)
+    raw = np.real(spec)
+    raw /= np.max(np.abs(raw))  # unit sup norm; the caller sets the scale
+    if window is None:
+        raw -= raw.mean(axis=(0, 1, 2, 3), keepdims=True)
+        return raw
     window = window.reshape(grid.shape + (1,) * len(shape_tail))
     # windowed mean removal keeps the field exactly zero-mean and compactly
     # supported (constant modes do not decay under the heat flow)
@@ -164,11 +172,12 @@ def random_data(
     """
     rng = np.random.default_rng(seed)
     d = spec.dim
+    win = _cosine_window(grid) if window else None
     a_arr = np.stack(
-        [amplitude * _band_limited_field(grid, rng, k_band, (d,), window) for _ in range(4)]
+        [amplitude * _band_limited_field(grid, rng, k_band, (d,), win) for _ in range(4)]
     )
     e_raw = np.stack(
-        [amplitude * _band_limited_field(grid, rng, k_band, (d,), window) for _ in range(4)]
+        [amplitude * _band_limited_field(grid, rng, k_band, (d,), win) for _ in range(4)]
     )
     a = ConnectionField(grid, spec, a_arr)
     if not project:
@@ -180,8 +189,9 @@ def random_data(
 
 def random_connection(grid: Grid4, spec, seed: int, amplitude: float = 0.1, k_band: int = 2, window: bool = True) -> ConnectionField:
     rng = np.random.default_rng(seed)
+    win = _cosine_window(grid) if window else None
     arr = np.stack(
-        [amplitude * _band_limited_field(grid, rng, k_band, (spec.dim,), window) for _ in range(4)]
+        [amplitude * _band_limited_field(grid, rng, k_band, (spec.dim,), win) for _ in range(4)]
     )
     return ConnectionField(grid, spec, arr)
 

@@ -18,7 +18,11 @@ Derivative backends:
     the whole flat pass, which writes face sites of the other axes, as two
     work items (low face, high face) on the same threads; they are not
     blocked, since the one-sided tensordot's BLAS rounding depends on the
-    operand layout it is given.  Each site is written by one thread and
+    operand layout it is given.  Each face's five planes are gathered into
+    a contiguous plane-major (5, K, plane) operand, with each plane viewed
+    as one np.void element so the gather copies whole planes (for axis 1 a
+    plane is a single site's three components, which an element-wise
+    strided copy handles slowly).  Each site is written by one thread and
     sees the same operations in the same order as the textbook form, so
     results do not depend on this layout, the block size or the thread
     count.
@@ -227,15 +231,21 @@ class Grid4:
             # and the high face are two work items over ten planes of sites
             c0 = np.array([-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25]) / self.h
             c1 = np.array([-0.25, -5.0 / 6.0, 1.5, -0.5, 1.0 / 12.0]) / self.h
+            # each plane viewed as one np.void element, so a face is gathered
+            # by whole-plane copies, not element by element
+            fv = f3.view(np.dtype((np.void, plane * f3.itemsize)))[..., 0]
+
+            def gather(planes):
+                return np.ascontiguousarray(planes.T).view(f3.dtype).reshape(5, -1, plane)
 
             def faces(sides):
                 for high in sides:
                     if high:
-                        hi = np.ascontiguousarray(f3[:, :-6:-1].transpose(1, 0, 2))
+                        hi = gather(fv[:, :-6:-1])
                         o3[:, -1] = -np.tensordot(c0, hi, axes=(0, 0))
                         o3[:, -2] = -np.tensordot(c1, hi, axes=(0, 0))
                     else:
-                        lo = np.ascontiguousarray(f3[:, :5].transpose(1, 0, 2))
+                        lo = gather(fv[:, :5])
                         o3[:, 0] = np.tensordot(c0, lo, axes=(0, 0))
                         o3[:, 1] = np.tensordot(c1, lo, axes=(0, 0))
 

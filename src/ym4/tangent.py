@@ -14,9 +14,11 @@ with a0 = Integral_0^{s_max} D^l E_l(s) ds accumulated by the trapezoid
 rule along the co-evolution (in the flat case this reproduces the Helmholtz
 potential -Lap^{-1} div e, so b is the divergence-free part of e).
 Working set: a co-evolved step holds the two heat states, the earlier one's
-curvature, V, its midpoint stage and the midpoint connection; the electric
+curvature, V, its midpoint stage and the midpoint connection, and releases
+the earlier state and curvature once the first stage is built; the electric
 pass is freed before the tangent pass, and div_curl_decompose allocates at
-most 12.9 connection-sized arrays at a time at n = 12.
+most 12.4 connection-sized arrays at a time at n = 12 (linearized_rhs holds
+up to four of its six D_j B_k - D_k B_j pairs at once).
 """
 
 from __future__ import annotations
@@ -59,18 +61,27 @@ class CaloricDataSet:
 
 def linearized_rhs(B: np.ndarray, a_s: ConnectionField, F_s: CurvatureField) -> np.ndarray:
     """Derivative of the heat-flow tension D^j F_{jk} in the direction B:
-    ds B_k = [B^j, F_{jk}] + D^j (D_j B_k - D_k B_j)."""
+    ds B_k = [B^j, F_{jk}] + D^j (D_j B_k - D_k B_j).
+
+    g_jk = D_j B_k - D_k B_j = -g_kj is built once per pair, at its first
+    use (output k, j > k: the term is -D_j g_kj), and released after its
+    second (output j); negation is exact, so this is bitwise the sum with
+    each g_jk built where it is used."""
     out = np.zeros_like(B)
+    g = {}
     for k in range(1, 5):
         acc = out[k - 1]
         for j in range(1, 5):
             if j == k:
                 continue  # D_k (D_k B_k - D_k B_k) = 0
             acc += algebra.bracket_arr(a_s.spec, B[j - 1], pair_component(F_s.f, j, k))
-            g_jk = covariant_derivative(a_s, B[k - 1], j) - covariant_derivative(
-                a_s, B[j - 1], k
-            )
-            acc += covariant_derivative(a_s, g_jk, j)
+            if j > k:
+                g[k, j] = covariant_derivative(a_s, B[j - 1], k) - covariant_derivative(
+                    a_s, B[k - 1], j
+                )
+                acc -= covariant_derivative(a_s, g[k, j], j)
+            else:
+                acc += covariant_derivative(a_s, g.pop((j, k)), j)
     return out
 
 
@@ -92,13 +103,15 @@ def _coevolve(a: ConnectionField, V: np.ndarray, p: HeatParams, rhs):
 
     Yields (s, a_s, F_s, V_s) at every step boundary including s = 0.  V
     takes one RK2 step per heat step, its midpoint stage on the mean of the
-    two heat states.  The same step serves every background, the zero
-    connection included.
+    two heat states; the earlier state and its curvature are dropped before
+    the midpoint stage (a caller that kept the yielded state keeps it).  The
+    same step serves every background, the zero connection included.
     """
     for k, s, a_s, F_s, _ in heat_states(a, p):
         if k > 0:
             a_mid = ConnectionField(a_s.grid, a_s.spec, 0.5 * (a_prev.a + a_s.a))
             V_mid = axpy(0.5 * p.ds, rhs(V, a_prev, F_prev), V)
+            del a_prev, F_prev
             V = axpy(p.ds, rhs(V_mid, a_mid, curvature(a_mid)), V)
             del a_mid, V_mid  # not read by the next heat step
             if not np.all(np.isfinite(V)):

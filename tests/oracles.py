@@ -7,7 +7,7 @@ tests because no part of ym4 needs them.
 import numpy as np
 
 from ym4 import algebra, spectral
-from ym4.gaugefield import GaugeTransformField
+from ym4.gaugefield import GaugeTransformField, covariant_derivative, pair_component
 
 
 def inner_arr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -105,3 +105,52 @@ def q_bilinear_oracle(g, spec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
                 val += algebra.bracket_arr(spec, amp_a[l], amp_b[l])
             chat[zeta] += m * val
     return idft4(chat)
+
+
+def band_limited_field(grid, rng, k_band: int, shape_tail, window: bool = True) -> np.ndarray:
+    """The full-grid form of data._band_limited_field: the noise outside the
+    band is zeroed on the whole grid, which np.fft.ifftn transforms; the
+    cosine window is built here, in place of being passed in."""
+    n = grid.n
+    freqs = np.fft.fftfreq(n, d=1.0 / n)  # integer frequencies
+    idx = np.abs(freqs) <= k_band
+    noise = rng.normal(size=grid.shape + shape_tail) + 1j * rng.normal(
+        size=grid.shape + shape_tail
+    )
+    sel = np.ones(grid.shape, dtype=bool)
+    for j in range(1, 5):
+        shape = [1, 1, 1, 1]
+        shape[grid.axis(j)] = n
+        sel &= np.broadcast_to(idx.reshape(shape), grid.shape)
+    sel_f = sel.reshape(grid.shape + (1,) * len(shape_tail))
+    fhat = np.where(sel_f, noise, 0.0)
+    raw = np.real(np.fft.ifftn(fhat, axes=(0, 1, 2, 3)))
+    raw /= np.max(np.abs(raw))
+    if not window:
+        raw -= raw.mean(axis=(0, 1, 2, 3), keepdims=True)
+        return raw
+    r = grid.radius()
+    r1 = grid.extent / 4.0
+    r0 = 0.55 * r1
+    prof = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
+    window = np.where(prof >= 1.0, 0.0, np.cos(0.5 * np.pi * prof) ** 2)
+    window = window.reshape(grid.shape + (1,) * len(shape_tail))
+    c = np.sum(window * raw, axis=(0, 1, 2, 3), keepdims=True) / np.sum(window)
+    return window * (raw - c)
+
+
+def linearized_rhs(B: np.ndarray, a_s, F_s) -> np.ndarray:
+    """tangent.linearized_rhs with each D_j B_k - D_k B_j built where it is
+    used, twice per pair."""
+    out = np.zeros_like(B)
+    for k in range(1, 5):
+        acc = out[k - 1]
+        for j in range(1, 5):
+            if j == k:
+                continue
+            acc += algebra.bracket_arr(a_s.spec, B[j - 1], pair_component(F_s.f, j, k))
+            g_jk = covariant_derivative(a_s, B[k - 1], j) - covariant_derivative(
+                a_s, B[j - 1], k
+            )
+            acc += covariant_derivative(a_s, g_jk, j)
+    return out

@@ -14,7 +14,7 @@ from ym4.gaugefield import (
 )
 from ym4.grid import Grid4
 
-from oracles import identity_transform
+from oracles import band_limited_field, identity_transform
 
 SU2 = algebra.su2()
 
@@ -111,3 +111,24 @@ def test_random_data_band_limit_and_window_support():
     outside = g.radius() > g.extent / 4.0 + 1e-9
     assert np.max(np.abs(d.a.a)) > 0.0
     assert np.max(np.abs(dw.a.a[:, outside])) == 0.0
+
+
+def test_band_limited_field_is_byte_equal_to_the_full_grid_transform():
+    """Transforming only the band gives the bytes of ifftn on the whole
+    zero-filled spectrum and leaves the seeded stream where that leaves it."""
+    for n in (8, 10, 12, 16, 18):
+        g = Grid4(n, 0.5)
+        win = data._cosine_window(g)
+        for k_band in (1, 2, 3):
+            if 2 * k_band + 1 > n:
+                continue
+            for tail in ((1,), (3,)):
+                for window in (True, False):
+                    for seed in (0, 2027):
+                        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                        got = data._band_limited_field(g, rng, k_band, tail, win if window else None)
+                        want = band_limited_field(g, ref_rng, k_band, tail, window)
+                        case = (n, k_band, tail, window, seed)
+                        assert got.shape == want.shape == g.shape + tail, case
+                        assert got.tobytes() == want.tobytes(), case
+                        assert rng.bit_generator.state == ref_rng.bit_generator.state, case

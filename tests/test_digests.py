@@ -1,12 +1,13 @@
-"""Outputs pinned to the byte: the ym4 regress files and one heat-caloric pass.
+"""Outputs pinned to the byte: the ym4 regress files and one pass of each
+benchmark workload.
 
 tests/digests.json records, for one build (the Python, numpy and scipy
 versions and platform.machine()):
 
 - the sha256 of each file that ``ym4 regress`` writes;
-- the output digest of one seed-1 pass of the benchmark's heat-caloric
-  workload, computed by the pass code of perfbench/workloads.py, which is
-  loaded from its file and not changed.
+- the output digest of one seed-1 pass of each workload of the benchmark
+  (heat-caloric, cli-pipeline, wave-morawetz), computed by the pass code of
+  perfbench/workloads.py, which is loaded from its file and not changed.
 
 A change meant to keep every output byte keeps these digests.  Bits are
 promised for one build of the libraries only, so on another build the tests
@@ -31,7 +32,8 @@ from ym4.workbench import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("digests.json")
-HEAT_SEED = 1
+PASS_SEED = 1
+WORKLOADS = ("heat-caloric", "cli-pipeline", "wave-morawetz")
 
 
 def build():
@@ -51,16 +53,17 @@ def regress_digests(workdir):
     }
 
 
-def heat_caloric_digest(workdir):
-    """Output digest of one heat-caloric benchmark pass at HEAT_SEED."""
+def pass_digest(name, workdir):
+    """Output digest of one pass of the named benchmark workload at PASS_SEED."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    setup, run = workloads.WORKLOADS["heat-caloric"]
+    setup, run = workloads.WORKLOADS[name]
+    workdir.mkdir(parents=True, exist_ok=True)
     rec = workloads.Record()
-    run(setup(HEAT_SEED, workdir), rec)
+    run(setup(PASS_SEED, workdir), rec)
     assert [c["name"] for c in rec.checks if not c["ok"]] == []
     return rec.digest()
 
@@ -80,7 +83,15 @@ def test_regress_files_match_recorded_digests(recorded, tmp_path):
 
 
 def test_heat_caloric_pass_matches_recorded_digest(recorded, tmp_path):
-    assert heat_caloric_digest(tmp_path) == recorded["heat_caloric_seed1"]
+    assert pass_digest("heat-caloric", tmp_path) == recorded["passes_seed1"]["heat-caloric"]
+
+
+def test_cli_pipeline_pass_matches_recorded_digest(recorded, tmp_path):
+    assert pass_digest("cli-pipeline", tmp_path) == recorded["passes_seed1"]["cli-pipeline"]
+
+
+def test_wave_morawetz_pass_matches_recorded_digest(recorded, tmp_path):
+    assert pass_digest("wave-morawetz", tmp_path) == recorded["passes_seed1"]["wave-morawetz"]
 
 
 if __name__ == "__main__":
@@ -88,7 +99,9 @@ if __name__ == "__main__":
         record = {
             "build": build(),
             "regress": regress_digests(Path(tmp) / "regress"),
-            "heat_caloric_seed1": heat_caloric_digest(Path(tmp)),
+            "passes_seed1": {
+                name: pass_digest(name, Path(tmp) / name) for name in WORKLOADS
+            },
         }
     DIGESTS.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {DIGESTS}")

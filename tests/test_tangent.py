@@ -7,7 +7,7 @@ from ym4.gaugefield import ConnectionField, curvature, curvature_tension
 from ym4.grid import Grid4
 from ym4.heatflow import HeatParams
 
-from oracles import laplacian
+from oracles import laplacian, linearized_rhs
 
 SU2 = algebra.su2()
 
@@ -48,6 +48,18 @@ def test_linearized_rhs_matches_finite_difference_jacobian():
     assert diffs[1e-3] <= 1e-4 * scale
     # central difference: the defect is quadratic in eps
     assert 3.0 <= diffs[1e-3] / max(diffs[5e-4], 1e-300) <= 5.0
+
+
+def test_linearized_rhs_is_byte_equal_to_the_pairwise_loop():
+    # each g_jk built once and negated for g_kj: the same bytes as building
+    # it at both uses
+    for boundary in ("periodic", "open"):
+        g = Grid4(12, 0.5, boundary=boundary)
+        a = data.random_connection(g, SU2, seed=2, amplitude=0.3, k_band=1)
+        B = data.random_connection(g, SU2, seed=3, amplitude=1.0, k_band=1).a
+        F = curvature(a)
+        got = tangent.linearized_rhs(B, a, F)
+        assert got.tobytes() == linearized_rhs(B, a, F).tobytes(), boundary
 
 
 def test_electric_rhs_flat_is_componentwise_laplacian():
