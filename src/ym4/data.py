@@ -181,9 +181,7 @@ def random_data(
     )
     a = ConnectionField(grid, spec, a_arr)
     if not project:
-        out = InitialDataSet(a, e_raw)
-        out.constraint_residual = gauss_residual(out)
-        return out
+        return InitialDataSet(a, e_raw, gauss_residual(a, e_raw))
     return gauss_project(a, e_raw)
 
 

@@ -215,8 +215,9 @@ def self_dual_residual(F: CurvatureField) -> float:
 # -- constraint handling -----------------------------------------------------
 
 
-def gauss_residual(d: InitialDataSet) -> float:
-    return d.a.grid.l2norm(covariant_divergence(d.a, d.e))
+def gauss_residual(a: ConnectionField, e: np.ndarray) -> float:
+    """|D^j e_j|_2: the Gauss-constraint residual of an electric field at a."""
+    return a.grid.l2norm(covariant_divergence(a, e))
 
 
 def _pcg(apply_op, apply_pre, b):
@@ -310,16 +311,13 @@ def gauss_project(a: ConnectionField, e_raw: np.ndarray) -> InitialDataSet:
         # already on the constraint surface to better than the advertised
         # tolerance; solving would chase arithmetic noise (the CG residual is
         # relative to a right-hand side that is itself round-off)
-        out = InitialDataSet(a, np.array(e_raw, dtype=float, copy=True))
-        out.constraint_residual = gauss_residual(out)
-        return out
-    phi = covariant_poisson(a, div_e)
-    e = np.empty_like(e_raw)
-    for j in range(1, 5):
-        e[j - 1] = e_raw[j - 1] - covariant_derivative(a, phi, j)
-    out = InitialDataSet(a, e)
-    out.constraint_residual = gauss_residual(out)
-    return out
+        e = np.array(e_raw, dtype=float, copy=True)
+    else:
+        phi = covariant_poisson(a, div_e)
+        e = np.empty_like(e_raw)
+        for j in range(1, 5):
+            e[j - 1] = e_raw[j - 1] - covariant_derivative(a, phi, j)
+    return InitialDataSet(a, e, gauss_residual(a, e))
 
 
 # -- concentration scales ----------------------------------------------------

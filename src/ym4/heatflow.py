@@ -7,7 +7,9 @@ ds <= 0.2 h^2.  Working set: a step holds the connection, its midpoint stage
 and the curvature and tension being built (each stage is made in its
 right-hand side's buffer); run_heat adds one curvature and the diagnostics,
 and allocates at most 5.2 connection-sized arrays at a time over four steps
-at n = 12.
+at n = 12.  tangent co-evolves a field with the connection by the coupled
+midpoint rule, whose update of the connection is this step operation for
+operation.
 """
 
 from __future__ import annotations
@@ -94,18 +96,6 @@ def _step(a: ConnectionField, ds: float, de_turck: bool) -> ConnectionField:
     return ConnectionField(a.grid, a.spec, new)
 
 
-def heat_states(a: ConnectionField, p: HeatParams, de_turck: bool = False):
-    """Yield (k, s, a_s, F_s, last) along the RK2 heat flow, from k = 0.
-
-    F_s is the curvature of a_s, built after the step, so a step holds no
-    curvature but the caller's; last marks the final step.  Every connection
-    takes the same RK2 step, which keeps the zero connection exactly zero.
-    """
-    p.check_stability(a.grid.h)
-    for k, a_s, last in march(a, lambda a: _step(a, p.ds, de_turck), p.ds, p.s_max):
-        yield k, k * p.ds, a_s, curvature(a_s), last
-
-
 def run_heat(
     a: ConnectionField,
     p: HeatParams,
@@ -136,11 +126,14 @@ def run_heat(
         f_inf = float(np.sqrt(np.max(dens)))
         return energy, i3, 2.0 * tension_sq, f_inf
 
+    p.check_stability(g.h)
     caloric_accum = 0.0
     diss_accum = 0.0
     prev = None
     try:
-        for k, s, state, F, last in heat_states(a, p, de_turck):
+        for k, state, last in march(a, lambda a: _step(a, p.ds, de_turck), p.ds, p.s_max):
+            s = k * p.ds
+            F = curvature(state)
             energy, i3_k, diss_k, f_inf = diagnostics(state, F)
             if not np.all(np.isfinite((energy, i3_k, diss_k))):
                 raise BlowUpError(f"heat flow energy not finite at s = {s:.6g}", last_state=prev)

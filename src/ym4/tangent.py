@@ -13,12 +13,13 @@ produced from the electric parabolic flow
 with a0 = Integral_0^{s_max} D^l E_l(s) ds accumulated by the trapezoid
 rule along the co-evolution (in the flat case this reproduces the Helmholtz
 potential -Lap^{-1} div e, so b is the divergence-free part of e).
-Working set: a co-evolved step holds the two heat states, the earlier one's
-curvature, V, its midpoint stage and the midpoint connection, and releases
-the earlier state and curvature once the first stage is built; the electric
-pass is freed before the tangent pass, and div_curl_decompose allocates at
-most 12.4 connection-sized arrays at a time at n = 12 (linearized_rhs holds
-up to four of its six D_j B_k - D_k B_j pairs at once).
+The pair (a, V) takes one explicit midpoint step of the coupled system per
+step, each stage building one curvature that the heat tension and the
+linear rhs share.  Working set: a step holds a, V, their midpoint stages
+and one curvature; the electric pass is freed before the tangent pass, and
+div_curl_decompose allocates at most 10.4 connection-sized arrays at a time
+at n = 12 (linearized_rhs holds up to four of its six D_j B_k - D_k B_j
+pairs at once).
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .gaugefield import (
     covariant_derivative,
     covariant_divergence,
     curvature,
+    curvature_tension,
     pair_component,
 )
-from .heatflow import HeatParams, heat_states
-from .stepping import axpy, step_count
+from .heatflow import HeatParams
+from .stepping import axpy, march, step_count
 
 
 @dataclass
@@ -99,25 +101,32 @@ def electric_rhs(E: np.ndarray, a_s: ConnectionField, F_s: CurvatureField) -> np
 
 
 def _coevolve(a: ConnectionField, V: np.ndarray, p: HeatParams, rhs):
-    """March a by the heat flow and V by the supplied linear rhs in lockstep.
+    """March the pair (a, V) by the explicit midpoint rule of the coupled
+    system ds a = tension(a), ds V = rhs(V, a, F(a)).
 
-    Yields (s, a_s, F_s, V_s) at every step boundary including s = 0.  V
-    takes one RK2 step per heat step, its midpoint stage on the mean of the
-    two heat states; the earlier state and its curvature are dropped before
-    the midpoint stage (a caller that kept the yielded state keeps it).  The
-    same step serves every background, the zero connection included.
+    Yields (a_s, V_s) at every step boundary including s = 0.  Each stage
+    builds one curvature, shared by the tension and rhs, so the update of a
+    is heatflow's RK2 step operation for operation and a_s is run_heat's
+    state to the byte.  The same step serves every background, the zero
+    connection included.
     """
-    for k, s, a_s, F_s, _ in heat_states(a, p):
-        if k > 0:
-            a_mid = ConnectionField(a_s.grid, a_s.spec, 0.5 * (a_prev.a + a_s.a))
-            V_mid = axpy(0.5 * p.ds, rhs(V, a_prev, F_prev), V)
-            del a_prev, F_prev
-            V = axpy(p.ds, rhs(V_mid, a_mid, curvature(a_mid)), V)
-            del a_mid, V_mid  # not read by the next heat step
-            if not np.all(np.isfinite(V)):
-                raise BlowUpError("co-evolved linear flow produced non-finite values")
-        a_prev, F_prev = a_s, F_s
-        yield s, a_s, F_s, V
+    p.check_stability(a.grid.h)
+
+    def step(pair):
+        a, V = pair
+        F = curvature(a)
+        mid = ConnectionField(a.grid, a.spec, axpy(0.5 * p.ds, curvature_tension(a, F), a.a))
+        V_mid = axpy(0.5 * p.ds, rhs(V, a, F), V)
+        del F
+        F = curvature(mid)
+        new = axpy(p.ds, curvature_tension(mid, F), a.a)
+        V = axpy(p.ds, rhs(V_mid, mid, F), V)
+        if not (np.all(np.isfinite(new)) and np.all(np.isfinite(V))):
+            raise BlowUpError("co-evolved flow produced non-finite values")
+        return ConnectionField(a.grid, a.spec, new), V
+
+    for _, pair, _ in march((a, V), step, p.ds, p.s_max):
+        yield pair
 
 
 def _flat_mode_factors(g, p: HeatParams):
@@ -181,8 +190,7 @@ def tangent_residual(
         return 0.0
     if fast_flat and not a.a.any() and a.grid.boundary == "periodic":
         return g.l2norm(_flat_tangent_terminal(b, g, p)) / b_norm
-    V = b
-    for _, _, _, V in _coevolve(a, b, p, linearized_rhs):
+    for _, V in _coevolve(a, b, p, linearized_rhs):
         pass
     return g.l2norm(V) / b_norm
 
@@ -229,7 +237,7 @@ def _electric_pass(a: ConnectionField, e: np.ndarray, p: HeatParams, fast_flat: 
         return a0, g.l2norm(np.stack([np.real(g.ifft(g_n_e * eh)) for eh in ehat]))
     a0 = np.zeros(g.shape + (a.spec.dim,))
     prev_div = None
-    for _, a_s, _, E in _coevolve(a, e, p, electric_rhs):
+    for a_s, E in _coevolve(a, e, p, electric_rhs):
         div_E = covariant_divergence(a_s, E)
         if prev_div is not None:
             a0 += 0.5 * p.ds * (prev_div + div_E)

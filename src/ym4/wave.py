@@ -29,10 +29,10 @@ from .gaugefield import (
     ConnectionField,
     CurvatureField,
     InitialDataSet,
-    covariant_divergence,
     curvature,
     curvature_tension,
     energy_density,
+    gauss_residual,
 )
 from .stepping import axpy, march, step_count
 
@@ -72,10 +72,6 @@ class WaveState:
         return F
 
 
-def _gauss(a: ConnectionField, adot: np.ndarray) -> float:
-    return a.grid.l2norm(covariant_divergence(a, adot))
-
-
 def wave_step(w: WaveState, dt: float) -> WaveState:
     """One kick-drift-kick leapfrog step (time-reversible); the acceleration
     dtt A_j = D^k F_{kj} is the curvature tension."""
@@ -86,9 +82,7 @@ def wave_step(w: WaveState, dt: float) -> WaveState:
     adot_new = axpy(0.5 * dt, curvature_tension(a_new), half)
     if not (np.all(np.isfinite(a_new.a)) and np.all(np.isfinite(adot_new))):
         raise BlowUpError("wave step produced non-finite values", last_state=w)
-    out = WaveState(w.t + dt, a_new, adot_new)
-    out.gauss_residual = _gauss(a_new, adot_new)
-    return out
+    return WaveState(w.t + dt, a_new, adot_new, gauss_residual(a_new, adot_new))
 
 
 def _energy_and_peak(w: WaveState) -> tuple:
@@ -129,7 +123,7 @@ def run_wave(
     g = d.a.grid
     p.check_cfl(g.h)
     w = WaveState(0.0, d.a, np.asarray(d.e, dtype=float))
-    w.gauss_residual = _gauss(w.a, w.adot)
+    w.gauss_residual = gauss_residual(w.a, w.adot)
     w.energy, peak0 = _energy_and_peak(w)
     snapshots = []
     keep = snapshots.append if observer is None else observer

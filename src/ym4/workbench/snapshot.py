@@ -5,13 +5,15 @@ Layout (little endian), version 2:
   kind u8 | component count u8 | time f64 | CRC32 of the preceding bytes u32
 followed by the payload, an f64 array, site-major with index order
 (x4 slowest, x3, x2, x1, form index, algebra index), and the CRC32 of the
-payload bytes u32.  Nothing follows; a file with trailing bytes is
-rejected.  Version 1 files, which end with the payload and carry no
-payload CRC, are still read.
+payload bytes u32.  Nothing follows.  A file whose length is not the one
+its header declares is rejected before the payload is read, as is a header
+whose h is not finite and positive.  Version 1 files, which end with the
+payload and carry no payload CRC, are still read.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -99,19 +101,21 @@ def read_snapshot(path):
         (crc,) = struct.unpack("<I", raw_crc)
         if crc != (zlib.crc32(head) & 0xFFFFFFFF):
             raise SnapshotError("header checksum mismatch")
+        if not (np.isfinite(h) and h > 0.0):
+            raise SnapshotError(f"grid spacing h = {h} is not finite and positive")
         spec = group_from_id(gid)
-        count = n**4 * comps * spec.dim
-        raw = fh.read(count * 8)
-        if len(raw) != count * 8:
-            raise SnapshotError("truncated payload")
-        if version >= 2:
-            raw_crc = fh.read(4)
-            if len(raw_crc) != 4:
-                raise SnapshotError("truncated payload checksum")
-            if struct.unpack("<I", raw_crc)[0] != (zlib.crc32(raw) & 0xFFFFFFFF):
-                raise SnapshotError("payload checksum mismatch")
-        if fh.read(1):
+        size = n**4 * comps * spec.dim * 8
+        tail = 4 if version >= 2 else 0  # the payload checksum
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < size:
+            raise SnapshotError(f"truncated payload: the header declares {size} bytes, {left} follow")
+        if left < size + tail:
+            raise SnapshotError("truncated payload checksum")
+        if left > size + tail:
             raise SnapshotError("trailing bytes after the payload")
+        raw = fh.read(size)
+        if tail and struct.unpack("<I", fh.read(4))[0] != (zlib.crc32(raw) & 0xFFFFFFFF):
+            raise SnapshotError("payload checksum mismatch")
     data = np.frombuffer(raw, dtype="<f8").reshape((n, n, n, n, comps, spec.dim))
     arr = np.ascontiguousarray(np.moveaxis(data, 4, 0), dtype=float)
     return SnapshotHeader(gid, n, h, kind, comps, time), arr

@@ -89,7 +89,7 @@ def test_random_data_constraint_and_determinism():
     assert np.array_equal(d1.e, d2.e)
     assert np.array_equal(d1.a.a, d2.a.a)
     scale = max(g.l2norm(d1.e), 1e-300)
-    assert gauss_residual(d1) <= 1e-8 * scale
+    assert gauss_residual(d1.a, d1.e) <= 1e-8 * scale
     d3 = data.random_data(g, SU2, seed=8, amplitude=0.1)
     assert not np.array_equal(d1.a.a, d3.a.a)
 

@@ -35,7 +35,7 @@ from ym4.gaugefield import (
     gauge_transform,
 )
 from ym4.grid import Grid4
-from ym4.heatflow import HeatParams, heat_states
+from ym4.heatflow import HeatParams, run_heat
 from ym4.wave import WaveState, wave_step
 
 SU2 = algebra.su2()
@@ -133,8 +133,8 @@ def test_heat_step_is_gauge_covariant(case, de_turck):
     a, rot, moved = _transformed(**case)
     ds = 0.05 * a.grid.h**2
     p = HeatParams(ds=ds, s_max=ds)
-    *_, (k, _, want, _, _) = heat_states(a, p, de_turck)
-    *_, (_, _, got, _, _) = heat_states(moved, p, de_turck)
-    assert k == 1
-    want = _rotate(rot, want.a)
+    traj = run_heat(a, p, de_turck)
+    got = run_heat(moved, p, de_turck).terminal
+    assert traj.s_samples == [0.0, ds]
+    want = _rotate(rot, traj.terminal.a)
     assert np.max(np.abs(got.a - want)) <= 1e-12 * np.max(np.abs(want))

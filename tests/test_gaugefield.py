@@ -175,14 +175,14 @@ def test_gauss_residual_trivial_and_curl_field():
     g = small_grid()
     a = rand_conn(g, seed=17)
     d = InitialDataSet(a, np.zeros((4,) + g.shape + (3,)))
-    assert gauss_residual(d) == 0.0
+    assert gauss_residual(d.a, d.e) == 0.0
     # flat-connection divergence-free construction: e1 = d2 phi, e2 = -d1 phi
     phi = data.random_connection(g, SU2, seed=18, amplitude=1.0).a[0]
     e = np.zeros((4,) + g.shape + (3,))
     e[0] = g.partial(phi, 2)
     e[1] = -g.partial(phi, 1)
     d0 = InitialDataSet(zero_connection(g, SU2), e)
-    assert gauss_residual(d0) <= 1e-11
+    assert gauss_residual(d0.a, d0.e) <= 1e-11
 
 
 def test_covariant_poisson_flat_matches_spectral():

@@ -13,6 +13,9 @@ it.  A string literal is no reference, even one that is exactly the name
 that are gone), and neither is a mention in a comment or a docstring.
 Dunder methods are called by the language and are exempt.
 
+Each module of ``src/ym4`` reads every name its module-level imports bind;
+``from __future__`` imports are exempt.
+
 A defaulted parameter of a function or method in ``src/ym4`` that every
 call in the same places passes as one literal, or that every call leaves at
 its default, is a constant: it belongs in the body.  A call is matched by
@@ -244,3 +247,51 @@ def test_no_parameter_takes_one_value():
     searched = [ast.parse(path.read_text()) for path in _code_paths()]
     found = _one_valued(defined, searched)
     assert not found, "parameters every call gives one value:\n" + "\n".join(found)
+
+
+# -- unused imports ----------------------------------------------------------
+
+
+def _unused_imports(tree):
+    """(name, line) of each name a module-level import binds that the module
+    never reads; ``from __future__`` imports bind nothing to read."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append((alias.asname or alias.name.split(".")[0], node.lineno))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return [(name, line) for name, line in bound if name not in read]
+
+
+def test_unused_import_collector():
+    tree = ast.parse("""
+from __future__ import annotations
+import os
+import numpy as np
+import a.b
+from m import used, unused as alias
+from n import overwritten
+
+def f():
+    import late
+    return np.zeros(1), a.b.c(used), "os"
+
+overwritten = 1
+""")
+    assert [name for name, _ in _unused_imports(tree)] == ["os", "alias", "overwritten"]
+
+
+def test_every_import_is_read():
+    unused = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name, line in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert not unused, "imports their module never reads:\n" + "\n".join(unused)

@@ -2,10 +2,10 @@
 
 import numpy as np
 
-from ym4 import algebra, data, tangent
+from ym4 import algebra, data, gaugefield, heatflow, tangent
 from ym4.gaugefield import ConnectionField, curvature, curvature_tension
 from ym4.grid import Grid4
-from ym4.heatflow import HeatParams
+from ym4.heatflow import HeatParams, run_heat
 
 from oracles import laplacian, linearized_rhs
 
@@ -132,3 +132,54 @@ def test_div_curl_zero_field_trivial():
     assert np.max(np.abs(cal.a0)) == 0.0
     assert np.max(np.abs(cal.b.b)) == 0.0
     assert cal.b.tangent_residual == 0.0
+
+
+def test_a_coevolved_step_builds_two_curvatures(monkeypatch):
+    # one per midpoint-rule stage, shared by the tension and the rhs
+    g = small_grid()
+    a = data.random_connection(g, SU2, seed=2, amplitude=0.3, k_band=1)
+    b = data.random_connection(g, SU2, seed=3, amplitude=1.0, k_band=1).a
+    real, calls = gaugefield.curvature, []
+
+    def counting(a):
+        calls.append(None)
+        return real(a)
+
+    for module in (gaugefield, heatflow, tangent):
+        monkeypatch.setattr(module, "curvature", counting)
+    ds = 0.05 * g.h**2
+    counts = []
+    for steps in (1, 2):
+        calls.clear()
+        tangent.tangent_residual(b, a, HeatParams(ds=ds, s_max=steps * ds))
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 2, counts
+
+
+def test_coevolved_background_is_the_heat_flow_to_the_byte():
+    g = small_grid()
+    a = data.random_connection(g, SU2, seed=2, amplitude=0.3, k_band=1)
+    b = data.random_connection(g, SU2, seed=3, amplitude=1.0, k_band=1).a
+    ds = 0.05 * g.h**2
+    p = HeatParams(ds=ds, s_max=3 * ds)
+    for a_s, _ in tangent._coevolve(a, b, p, tangent.linearized_rhs):
+        pass
+    assert a_s.a.tobytes() == run_heat(a, p).terminal.a.tobytes()
+
+
+def test_div_curl_converges_at_second_order():
+    g = small_grid()
+    d = data.random_data(g, SU2, seed=3, amplitude=0.1, k_band=1, window=False)
+    ds = 0.05 * g.h**2
+
+    def decompose(step):
+        return tangent.div_curl_decompose(d.a, d.e, HeatParams(ds=step, s_max=4 * ds))
+
+    ref = decompose(ds / 8)
+    errors = []
+    for step in (ds, ds / 2):
+        cal = decompose(step)
+        errors.append((g.l2norm(cal.a0 - ref.a0), g.l2norm(cal.b.b - ref.b.b)))
+    (a0_coarse, b_coarse), (a0_fine, b_fine) = errors
+    assert a0_coarse >= 3.5 * a0_fine, errors
+    assert b_coarse >= 3.5 * b_fine, errors

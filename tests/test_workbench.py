@@ -351,6 +351,21 @@ def test_cli_input_cut_inside_the_header_checksum_is_config_error(tmp_path, caps
     assert "truncated header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, h", [(100, 0.5), (65536, 0.5), (8, float("nan"))])
+def test_cli_input_with_a_corrupt_header_is_config_error(tmp_path, capsys, n, h):
+    # the header checksum holds, but the header claims more payload than the
+    # file has, or a grid spacing that is not a number
+    g = Grid4(8, 0.5)
+    head = snap._HEADER.pack(snap.MAGIC, snap.VERSION, snap.GROUP_SU2, n, h, snap.KIND_CONNECTION, 4, 0.0)
+    payload = np.zeros((8, 8, 8, 8, 4, 3)).tobytes()
+    path = tmp_path / "bad.ymf"
+    path.write_bytes(head + struct.pack("<I", zlib.crc32(head)) + payload + struct.pack("<I", zlib.crc32(payload)))
+    out = tmp_path / "o"
+    assert main(["wave", write_cfg(tmp_path), "--input", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_wave_takes_its_energies_from_the_step_loop(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path)
     real_curvature, real_run_wave = gaugefield.curvature, wave.run_wave

@@ -44,9 +44,9 @@ def test_run_heat_holds_at_most_six_connections(d):
     assert peak <= 6.0, peak
 
 
-def test_div_curl_decompose_holds_at_most_fourteen_connections(d):
+def test_div_curl_decompose_holds_at_most_eleven_connections(d):
     peak = peak_in_connections(lambda: tangent.div_curl_decompose(d.a, d.e, FOUR_STEPS))
-    assert peak <= 14.0, peak
+    assert peak <= 11.0, peak
 
 
 def test_wave_step_holds_at_most_five_and_a_half_connections(d):
