@@ -280,12 +280,17 @@ def _cross3(x: np.ndarray, y: np.ndarray, acc: Optional[np.ndarray] = None) -> n
     spread by run_blocks, so each block's operands stay in cache across the
     nine ufunc calls; with acc, each block's bracket is added into acc (one
     rounding per element, as acc += bracket would)."""
-    shape = np.broadcast_shapes(x.shape, y.shape)
     dtype = np.result_type(x, y)
+    if x.shape == y.shape:
+        # the common case: nothing to broadcast, so reshape x and y directly
+        shape = x.shape
+        x2, y2 = x.reshape(-1, 3), y.reshape(-1, 3)
+    else:
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        x2 = np.broadcast_to(x, shape).reshape(-1, 3)
+        y2 = np.broadcast_to(y, shape).reshape(-1, 3)
+    # the reshapes copy only a broadcast or non-contiguous operand
     out = np.empty(shape, dtype=dtype) if acc is None else acc
-    # copies only a broadcast or non-contiguous operand
-    x2 = np.broadcast_to(x, shape).reshape(-1, 3)
-    y2 = np.broadcast_to(y, shape).reshape(-1, 3)
     o2 = out.reshape(-1, 3, copy=False)
     step = _BLOCK_SITES
     rows = min(len(o2), step)

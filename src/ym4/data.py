@@ -64,19 +64,26 @@ def bpst(
     if orientation not in (+1, -1):
         raise FieldError("orientation must be +1 or -1")
     eta = thooft_symbols()
-    x = [grid.coordinate_field(j) - center[j - 1] for j in range(1, 5)]
+    # x_nu - c_nu as a 1-D array along its own axis; the numerators
+    # broadcast against denom, element for element the full-grid operations
+    # (0.0 + eta x included, which is +0.0 where x = 0)
+    x = []
+    for j in range(1, 5):
+        shape = [1, 1, 1, 1]
+        shape[grid.axis(j)] = grid.n
+        x.append((grid.coords1d() - center[j - 1]).reshape(shape))
     if orientation < 0:
         x[3] = -x[3]
     r2 = sum(c**2 for c in x)
     denom = r2 + lam**2
-    a = np.zeros((4,) + grid.shape + (3,))
+    a = np.empty((4,) + grid.shape + (3,))
     for j in range(4):
         for b in range(3):
-            num = np.zeros(grid.shape)
+            num = 0.0
             for nu in range(4):
                 if eta[b, j, nu] != 0.0:
-                    num += eta[b, j, nu] * x[nu]
-            a[j, ..., b] = 2.0 * num / denom
+                    num = num + eta[b, j, nu] * x[nu]
+            np.divide(2.0 * num, denom, out=a[j, ..., b])
     if orientation < 0:
         a[3] = -a[3]
     return ConnectionField(grid, spec, a)

@@ -6,7 +6,7 @@ tests because no part of ym4 needs them.
 
 import numpy as np
 
-from ym4 import algebra, spectral
+from ym4 import algebra, data, spectral
 from ym4.gaugefield import GaugeTransformField, covariant_derivative, pair_component
 
 
@@ -105,6 +105,47 @@ def q_bilinear_oracle(g, spec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
                 val += algebra.bracket_arr(spec, amp_a[l], amp_b[l])
             chat[zeta] += m * val
     return idft4(chat)
+
+
+def lp_block_sups(F) -> list:
+    """spectral.lp_block_sups with each component transformed alone: the
+    components are stacked, each is forward-transformed, and each block
+    inverse-transforms every component before reading the pointwise norm."""
+    g = F.grid
+    blocks = spectral.make_blocks(g)
+    stack = F.f if F.e is None else np.concatenate([F.f, F.e], axis=0)
+    stack_hat = [g.fft(c) for c in stack]
+    block = np.empty_like(stack)
+    rows = []
+    for k in range(blocks.k_min, blocks.k_max + 1):
+        w = blocks.window(k)[..., None]
+        for c, c_hat in enumerate(stack_hat):
+            block[c] = np.real(g.ifft(c_hat * w))
+        pointwise = np.sqrt(np.einsum("c...a,c...a->...", block, block))
+        rows.append((k, 2.0 ** (-2 * k) * float(np.max(pointwise))))
+    return rows
+
+
+def bpst(grid, center, lam: float, orientation: int) -> np.ndarray:
+    """The coefficients of data.bpst built on the full grid: four coordinate
+    fields, and one numerator summed onto zeros per (j, b); no input checks."""
+    eta = data.thooft_symbols()
+    x = [grid.coordinate_field(j) - center[j - 1] for j in range(1, 5)]
+    if orientation < 0:
+        x[3] = -x[3]
+    r2 = sum(c**2 for c in x)
+    denom = r2 + lam**2
+    a = np.zeros((4,) + grid.shape + (3,))
+    for j in range(4):
+        for b in range(3):
+            num = np.zeros(grid.shape)
+            for nu in range(4):
+                if eta[b, j, nu] != 0.0:
+                    num += eta[b, j, nu] * x[nu]
+            a[j, ..., b] = 2.0 * num / denom
+    if orientation < 0:
+        a[3] = -a[3]
+    return a
 
 
 def band_limited_field(grid, rng, k_band: int, shape_tail, window: bool = True) -> np.ndarray:

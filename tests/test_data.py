@@ -14,7 +14,7 @@ from ym4.gaugefield import (
 )
 from ym4.grid import Grid4
 
-from oracles import band_limited_field, identity_transform
+from oracles import band_limited_field, bpst, identity_transform
 
 SU2 = algebra.su2()
 
@@ -54,6 +54,18 @@ def test_bpst_orientation_flips_chi():
     cp, cm = chi(Fp), chi(Fm)
     assert cp > 0.0
     assert abs(cp + cm) <= 1e-6 * abs(cp)
+
+
+@pytest.mark.parametrize("n, h, boundary", [(16, 0.25, "periodic"), (24, 0.25, "open")])
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0, 0.0), (0.25, -0.5, 0.1, 0.75)])
+@pytest.mark.parametrize("orientation", [+1, -1])
+def test_bpst_is_byte_equal_to_the_full_grid_loop(n, h, boundary, center, orientation):
+    """Broadcast 1-D coordinates give the bytes of the full-grid build, the
+    signed zeros of 0.0 + eta x at x = 0 included (n = 16 is the smallest
+    grid whose scale window 4h <= lam <= L/4 is not empty)."""
+    g = Grid4(n, h, boundary=boundary)
+    got = data.bpst(g, SU2, center=center, lam=1.0, orientation=orientation).a
+    assert got.tobytes() == bpst(g, center, 1.0, orientation).tobytes()
 
 
 def test_bpst_guards():

@@ -8,7 +8,7 @@ from ym4.gaugefield import ConnectionField, CurvatureField, curvature
 from ym4.grid import Grid4
 from ym4.spectral import SpectralError
 
-from oracles import laplacian, q_bilinear_oracle
+from oracles import laplacian, lp_block_sups, q_bilinear_oracle
 
 SU2 = algebra.su2()
 
@@ -77,6 +77,43 @@ def test_lp_plancherel_near_unity():
     )
     ref = g.l2norm(f) ** 2
     assert 0.5 * ref <= total <= 1.5 * ref
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("with_e", [False, True])
+@pytest.mark.parametrize("window", [True, False])
+def test_paired_block_sups_equal_the_one_component_loop(n, with_e, window, monkeypatch):
+    """Transforming the components in pairs c1 + i c2 changes only the
+    rounding of the rows, and makes half the transforms.
+
+    Rounding is relative to the field: a windowed field has content in
+    every block, and each row matches to 1e-14 of itself; the unwindowed
+    k_band = 1 field leaves its top block at the rounding level of the
+    field (about 1e-19 against rows near 0.1 at n = 12, in both loops), so
+    there each unweighted row 2^{2k} sup matches to 1e-14 of the largest."""
+    g = Grid4(n, 0.5)
+    d = data.random_data(g, SU2, seed=n, amplitude=0.3, k_band=1, project=False, window=window)
+    F = curvature(d.a)
+    if with_e:
+        F.e = d.e
+    want = lp_block_sups(F)
+    calls = []
+    for name in ("fft", "ifft"):
+        real = getattr(Grid4, name)
+        monkeypatch.setattr(
+            Grid4, name, lambda grid, x, real=real: calls.append(None) or real(grid, x)
+        )
+    got = spectral.lp_block_sups(F)
+    monkeypatch.undo()
+    assert [k for k, _ in got] == [k for k, _ in want]
+    scale = max(2.0 ** (2 * k) * ref for k, ref in want)
+    for (k, sup), (_, ref) in zip(got, want):
+        if window:
+            assert abs(sup - ref) <= 1e-14 * ref, (k, sup, ref)
+        else:
+            assert 2.0 ** (2 * k) * abs(sup - ref) <= 1e-14 * scale, (k, sup, ref)
+    pairs = (10 if with_e else 6) // 2
+    assert len(calls) == pairs * (1 + len(want))
 
 
 def test_ed_norm_zero_single_mode_and_truncation():
