@@ -119,23 +119,40 @@ def curvature(a: ConnectionField) -> CurvatureField:
     return CurvatureField(g, a.spec, f)
 
 
-def curvature_tension(a: ConnectionField, F: Optional[CurvatureField] = None) -> np.ndarray:
+def curvature_tension(
+    a: ConnectionField,
+    F: Optional[CurvatureField] = None,
+    kick: Optional[tuple] = None,
+) -> np.ndarray:
     """T_k = Sum_l D_l f_{lk}: the static Yang-Mills tension, shape (4,...,d).
 
     For l > k the stored pair is f_{kl} = -f_{lk}, and D_l f_{kl} is
     subtracted; IEEE negation is exact, so this equals adding D_l f_{lk}.
+    Each row T_k is summed onto zeros in a buffer of its own.
+
+    With kick = (c, v), v (shape (4,...,d)) gets v + c * T in place and is
+    returned, with no connection-sized T held: each row is built in one
+    component-sized buffer, scaled by c and added into v[k-1].  That is
+    bitwise stepping.axpy(c, T, v) with T the default result, since IEEE
+    addition commutes.
     """
     if F is None:
         F = curvature(a)
-    out = np.zeros_like(a.a)
+    out = np.empty_like(a.a) if kick is None else kick[1]
+    row = None if kick is None else np.empty_like(a.a[0])
     for k in range(1, 5):
+        t = out[k - 1] if kick is None else row
+        t.fill(0.0)
         for l in range(1, 5):
             if l == k:
                 continue
             if l < k:
-                out[k - 1] += covariant_derivative(a, F.f[_PAIR_INDEX[(l, k)]], l)
+                t += covariant_derivative(a, F.f[_PAIR_INDEX[(l, k)]], l)
             else:
-                out[k - 1] -= covariant_derivative(a, F.f[_PAIR_INDEX[(k, l)]], l)
+                t -= covariant_derivative(a, F.f[_PAIR_INDEX[(k, l)]], l)
+        if kick is not None:
+            t *= kick[0]
+            out[k - 1] += t
     return out
 
 

@@ -13,8 +13,10 @@ streams them, one at a time, to an observer and keeps only the last, so a
 streamed run holds a few states whatever t_end is.  The Morawetz identity
 over these states is assembled in ym4.morawetz, also one state at a time.
 Working set: a step holds the state, its half kick, the new connection and
-the curvature and tension being built; it allocates at most 5.2
-connection-sized arrays at a time at n = 12, the new state included.
+the curvature and tension being built; the closing kick adds each tension
+row into the half kick as it is built, so no whole closing tension is held,
+and a step allocates at most 4.4 connection-sized arrays at a time at
+n = 12, the new state included.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def wave_step(w: WaveState, dt: float) -> WaveState:
     drift = dt * half
     drift += w.a.a  # w.a.a + dt * half, in one buffer
     a_new = ConnectionField(w.a.grid, w.a.spec, drift)
-    adot_new = axpy(0.5 * dt, curvature_tension(a_new), half)
+    adot_new = curvature_tension(a_new, kick=(0.5 * dt, half))  # in half's buffer
     if not (np.all(np.isfinite(a_new.a)) and np.all(np.isfinite(adot_new))):
         raise BlowUpError("wave step produced non-finite values", last_state=w)
     return WaveState(w.t + dt, a_new, adot_new, gauss_residual(a_new, adot_new))

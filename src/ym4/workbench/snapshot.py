@@ -7,8 +7,16 @@ followed by the payload, an f64 array, site-major with index order
 (x4 slowest, x3, x2, x1, form index, algebra index), and the CRC32 of the
 payload bytes u32.  Nothing follows.  A file whose length is not the one
 its header declares is rejected before the payload is read, as is a header
-whose h is not finite and positive.  Version 1 files, which end with the
-payload and carry no payload CRC, are still read.
+whose h is not finite and positive, and a payload that holds a NaN or an
+infinity is rejected after its CRC is checked.  Version 1 files, which end
+with the payload and carry no payload CRC, are still read.
+
+The payload is written one x4 slab (one x4 index, every other index) at a
+time with a running CRC32, so a write holds 1/n of the payload beyond the
+field itself; the bytes are those of the whole payload written at once.  The
+finiteness check also runs one x4 slab at a time.  A read still takes the
+payload in one piece: reading it by slab left a larger process peak in the
+CLI pipeline.
 """
 
 from __future__ import annotations
@@ -70,18 +78,21 @@ class SnapshotHeader:
 
 def write_snapshot(path, arr: np.ndarray, grid: Grid4, spec: LieGroupSpec, kind: int, time: float = 0.0) -> None:
     """arr: (components, n, n, n, n, d); written with the form index moved
-    inside the spatial indices per the declared payload order."""
+    inside the spatial indices per the declared payload order, one x4 slab
+    at a time."""
     if arr.ndim != 6 or arr.shape[1:5] != grid.shape or arr.shape[5] != spec.dim:
         raise SnapshotError(f"unexpected field shape {arr.shape}")
     comps = arr.shape[0]
     head = _HEADER.pack(MAGIC, VERSION, group_id(spec), grid.n, grid.h, kind, comps, time)
-    crc = zlib.crc32(head) & 0xFFFFFFFF
-    payload = np.ascontiguousarray(np.moveaxis(arr, 0, 4), dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(head)
-        fh.write(struct.pack("<I", crc))
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        fh.write(struct.pack("<I", zlib.crc32(head) & 0xFFFFFFFF))
+        crc = 0
+        for i in range(grid.n):  # one x4 slab at a time
+            slab = np.ascontiguousarray(np.moveaxis(arr[:, i], 0, 3), dtype="<f8")
+            fh.write(slab)
+            crc = zlib.crc32(slab, crc)
+        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
 def read_snapshot(path):
@@ -117,5 +128,8 @@ def read_snapshot(path):
         if tail and struct.unpack("<I", fh.read(4))[0] != (zlib.crc32(raw) & 0xFFFFFFFF):
             raise SnapshotError("payload checksum mismatch")
     data = np.frombuffer(raw, dtype="<f8").reshape((n, n, n, n, comps, spec.dim))
+    for i in range(n):  # one x4 slab at a time
+        if not np.isfinite(data[i]).all():
+            raise SnapshotError(f"non-finite payload entry in x4 slab {i}")
     arr = np.ascontiguousarray(np.moveaxis(data, 4, 0), dtype=float)
     return SnapshotHeader(gid, n, h, kind, comps, time), arr

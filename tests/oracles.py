@@ -4,10 +4,14 @@ They are plain numpy restatements of textbook definitions, kept beside the
 tests because no part of ym4 needs them.
 """
 
+import struct
+import zlib
+
 import numpy as np
 
 from ym4 import algebra, data, spectral
 from ym4.gaugefield import GaugeTransformField, covariant_derivative, pair_component
+from ym4.workbench import snapshot
 
 
 def inner_arr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -195,3 +199,19 @@ def linearized_rhs(B: np.ndarray, a_s, F_s) -> np.ndarray:
             )
             acc += covariant_derivative(a_s, g_jk, j)
     return out
+
+
+def write_snapshot_whole(path, arr, grid, spec, kind: int, time: float = 0.0) -> None:
+    """snapshot.write_snapshot with the payload built in one piece: the form
+    index moved inside the spatial indices by one moveaxis copy, written and
+    checksummed whole."""
+    comps = arr.shape[0]
+    head = snapshot._HEADER.pack(
+        snapshot.MAGIC, snapshot.VERSION, snapshot.group_id(spec), grid.n, grid.h, kind, comps, time
+    )
+    payload = np.ascontiguousarray(np.moveaxis(arr, 0, 4), dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(struct.pack("<I", zlib.crc32(head) & 0xFFFFFFFF))
+        fh.write(payload)
+        fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))

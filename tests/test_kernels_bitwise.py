@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ym4 import algebra
+from ym4 import algebra, data
 from ym4.gaugefield import (
     PAIRS,
     ConnectionField,
@@ -31,6 +31,7 @@ from ym4.gaugefield import (
     pair_component,
 )
 from ym4.grid import Grid4
+from ym4.stepping import axpy
 
 SU2 = algebra.su2()
 BLOCK_SITES = algebra._BLOCK_SITES
@@ -254,6 +255,19 @@ def assert_kernels_match_references(a, B):
     got = curvature_tension(a, F)
     want = tension_loop(a, F)
     assert np.array_equal(got, want) and same_bits(got, want)
+
+
+@pytest.mark.parametrize("n, boundary", [(8, "periodic"), (12, "open")])
+def test_tension_kick_equals_axpy_of_the_tension(thread_counts, n, boundary):
+    g = Grid4(n, 0.5, boundary=boundary)
+    d = data.random_data(g, SU2, seed=n, amplitude=0.5, k_band=1, project=False)
+    assert np.signbit(d.a.a[d.a.a == 0.0]).any() and np.signbit(d.e[d.e == 0.0]).any()
+    c = 0.5 * 0.25 * g.h
+    for workers in thread_counts():
+        want = axpy(c, curvature_tension(d.a), d.e.copy())
+        v = d.e.copy()
+        got = curvature_tension(d.a, kick=(c, v))
+        assert got is v and same_bits(got, want), workers
 
 
 def test_kernels_at_the_real_block_size_on_an_open_n24_grid(monkeypatch):

@@ -23,6 +23,8 @@ from ym4.workbench import snapshot as snap
 from ym4.workbench.cli import main
 from ym4.workbench.config import SCHEMA, ConfigError, parse_config
 
+from oracles import write_snapshot_whole
+
 SU2 = algebra.su2()
 
 
@@ -146,6 +148,51 @@ def test_snapshot_version_1_still_loads(tmp_path):
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(snap.SnapshotError, match="trailing bytes"):
         snap.read_snapshot(path)
+
+
+@pytest.mark.parametrize("spec", [SU2, algebra.abelian()], ids=["su2", "abelian"])
+@pytest.mark.parametrize("comps", [1, 4, 8])
+def test_slab_writer_equals_the_whole_payload_writer(tmp_path, comps, spec):
+    g = Grid4(8, 0.5)
+    rng = np.random.default_rng(comps)
+    arr = rng.normal(size=(comps,) + g.shape + (3,))
+    arr[:, 1, 2] = -0.0
+    # a non-contiguous field: the form index moved first from inside the sites
+    view = np.moveaxis(rng.normal(size=g.shape + (comps, 3)), 4, 0)
+    for field in (arr, view):
+        snap.write_snapshot(tmp_path / "slab.ymf", field, g, spec, snap.KIND_CONNECTION, 0.5)
+        write_snapshot_whole(tmp_path / "whole.ymf", field, g, spec, snap.KIND_CONNECTION, 0.5)
+        assert (tmp_path / "slab.ymf").read_bytes() == (tmp_path / "whole.ymf").read_bytes()
+        assert snap.read_snapshot(tmp_path / "slab.ymf")[1].tobytes() == field.tobytes()
+
+
+def test_write_snapshot_allocates_at_most_a_quarter_of_the_payload(tmp_path):
+    g = Grid4(12, 0.5)
+    arr = np.random.default_rng(0).normal(size=(8,) + g.shape + (3,))
+    path = tmp_path / "state.ymf"
+    snap.write_snapshot(path, arr, g, SU2, snap.KIND_WAVE_STATE, 0.0)
+    tracemalloc.start()
+    try:
+        snap.write_snapshot(path, arr, g, SU2, snap.KIND_WAVE_STATE, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arr.nbytes / 4, peak / arr.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_snapshot_with_a_non_finite_entry_is_rejected(tmp_path, capsys, bad):
+    g = Grid4(8, 0.5)
+    arr = np.zeros((4,) + g.shape + (3,))
+    arr[2, 5, 1, 0, 3, 1] = bad
+    path = tmp_path / "state.ymf"
+    snap.write_snapshot(path, arr, g, SU2, snap.KIND_CONNECTION, 0.0)  # valid CRCs
+    with pytest.raises(snap.SnapshotError, match="non-finite payload entry in x4 slab 5"):
+        snap.read_snapshot(path)
+    out = tmp_path / "o"
+    assert main(["heat", write_cfg(tmp_path), "--input", str(path), "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- CLI ----------------------------------------------------------------------
