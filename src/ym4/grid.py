@@ -97,6 +97,15 @@ class Grid4:
         if self.deriv == "spectral" and self.boundary != "periodic":
             raise GridError("spectral derivatives require a periodic grid")
 
+    @classmethod
+    def window(cls, n: int, h: float) -> "Grid4":
+        """The grid of a window of n sites per axis cut from a larger
+        field, whose derivatives are read only at sites at least two planes
+        inside its faces.  Either face fix-up leaves those sites alone; the
+        window is periodic because the wrapped fix-up is the cheaper one.
+        It is never transformed."""
+        return cls(n, h)
+
     @property
     def extent(self) -> float:
         return self.n * self.h

@@ -109,7 +109,9 @@ def run_heat(
     ``observer(step_index, s, a, F)``, when given, is called at every step.
     A non-finite connection, energy, |F|^3 integral or dissipation rate is
     a blow-up; the partial trajectory, ending at the last finite state, is
-    attached to the error.
+    attached to the error.  Once the loop starts only it holds a, as the
+    last finite state until step 1's state is checked, so a is freed
+    before step 2 unless the caller or the observer keeps it.
     """
     g = a.grid
     traj = HeatTrajectory()
@@ -130,8 +132,10 @@ def run_heat(
     caloric_accum = 0.0
     diss_accum = 0.0
     prev = None
+    states = march(a, lambda a: _step(a, p.ds, de_turck), p.ds, p.s_max)
+    del a
     try:
-        for k, state, last in march(a, lambda a: _step(a, p.ds, de_turck), p.ds, p.s_max):
+        for k, state, last in states:
             s = k * p.ds
             F = curvature(state)
             energy, i3_k, diss_k, f_inf = diagnostics(state, F)

@@ -266,9 +266,7 @@ def _cone(w: WaveState, vertex) -> _Cone:
         a, e, cut = w.a, w.adot, _WHOLE
     else:
         sub = (slice(None),) + cut
-        # no window face site is gathered; the periodic wrap is the cheaper
-        # of the two face fix-ups
-        win = Grid4(cut[0].stop - cut[0].start, g.h)
+        win = Grid4.window(cut[0].stop - cut[0].start, g.h)
         a = ConnectionField(win, w.a.spec, np.ascontiguousarray(w.a.a[sub]))
         e = w.adot[sub]
     x = _offsets(g, vertex[1:], cut)

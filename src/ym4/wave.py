@@ -111,7 +111,10 @@ def run_wave(
 ) -> List[WaveState]:
     """Evolve to t_end, keeping every snapshot_stride-th state and the last,
     each with its energy recorded from the density the blow-up check uses.
-    The first kept state shares d.a and d.e, which no step writes.
+    The first kept state shares d.a and d.e, which no step writes.  No name
+    here holds d once the loop has the first state, so d's arrays are freed
+    when step 1 returns, unless the caller, the observer or the returned
+    list keeps them.
 
     Without an observer, returns the kept states.  With one, calls
     observer(w) on each kept state in time order as the loop reaches it,
@@ -125,6 +128,7 @@ def run_wave(
     g = d.a.grid
     p.check_cfl(g.h)
     w = WaveState(0.0, d.a, np.asarray(d.e, dtype=float))
+    del d
     w.gauss_residual = gauss_residual(w.a, w.adot)
     w.energy, peak0 = _energy_and_peak(w)
     snapshots = []

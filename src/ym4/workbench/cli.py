@@ -23,7 +23,9 @@ CSV holds the rows it sampled before the signal.
 wave, morawetz and regress stream the wave flow through run_wave's
 observer: each kept state gives its wave.csv row (and its Morawetz terms)
 as the flow reaches it, and only the last state is held, so memory does
-not grow with [wave] t_end.
+not grow with [wave] t_end.  wave, morawetz, heat and ed-norm hand their
+input to the flow or curvature that consumes it and keep no reference, so
+the input is freed once it is no longer read (after the flow's first step).
 
 The blocked stencil and su(2) bracket kernels run on one thread per CPU
 the process may run on, recorded in reports as kernel_threads, so CPU
@@ -266,10 +268,12 @@ def _write_wave_csv(outdir: Path, rows) -> None:
     _write_csv(outdir / "wave.csv", ["t [len]", "energy [1]", "gauss_residual [1/len^3]"], rows)
 
 
-def _stream_wave(d: InitialDataSet, p: wave.WaveParams, observer=None) -> tuple:
-    """Run the wave flow, passing each kept state to observer as it comes;
-    returns (last state, wave.csv rows).  A blow-up signal leaves with the
-    rows taken before it as its partial record."""
+def _stream_wave(slot: list, p: wave.WaveParams, observer=None) -> tuple:
+    """Run the wave flow from the data popped from the one-slot list slot,
+    passing each kept state to observer as it comes; returns (last state,
+    wave.csv rows).  No name here holds the data, so run_wave frees it
+    after its first step.  A blow-up signal leaves with the rows taken
+    before it as its partial record."""
     rows = []
 
     def record(w):
@@ -278,7 +282,7 @@ def _stream_wave(d: InitialDataSet, p: wave.WaveParams, observer=None) -> tuple:
             observer(w)
 
     try:
-        (last,) = wave.run_wave(d, p, observer=record)
+        (last,) = wave.run_wave(slot.pop(), p, observer=record)
     except BlowUpError as err:
         err.partial = rows
         raise
@@ -286,8 +290,7 @@ def _stream_wave(d: InitialDataSet, p: wave.WaveParams, observer=None) -> tuple:
 
 
 def _write_wave_state(path: Path, a: ConnectionField, e, t: float) -> None:
-    state = np.concatenate([a.a, e], axis=0)
-    snap.write_snapshot(path, state, a.grid, a.spec, snap.KIND_WAVE_STATE, t)
+    snap.write_snapshot(path, snap.Blocks((a.a, e)), a.grid, a.spec, snap.KIND_WAVE_STATE, t)
 
 
 def _load_state(path, grid: Grid4, spec):
@@ -331,19 +334,24 @@ def _frame(args) -> int:
     runs before the output directory exists.  Once it exists, a blow-up or
     an invariant violation still leaves a report.json with the message, and
     a blow-up the CSV rows its flow sampled before the signal.
+
+    The body owns the input: the frame hands it over in a one-slot list and
+    keeps no name for it.  A body whose flow consumes the input pops it
+    straight into the flow's call, so the flow can free it after its first
+    step; a body that reads it to the end pops it at entry.
     """
     cfg = load_config(args.config)
     grid = build_grid(cfg)
     spec = build_spec(cfg)
     if args.writes_ymf:
         snap.group_id(spec)  # a SnapshotError for a group no .ymf file can name
-    d = _input_data(args, cfg, grid, spec)
+    slot = [_input_data(args, cfg, grid, spec)]
     p = args.params(cfg, grid)
     outdir = _outdir(cfg, args)
     _write_resolved(cfg, outdir)
     report = None
     try:
-        report = args.body(grid, spec, d, p, outdir)
+        report = args.body(grid, spec, slot, p, outdir)
     except BlowUpError as err:
         rows = []
         if isinstance(err.partial, heatflow.HeatTrajectory):
@@ -367,13 +375,14 @@ def _frame(args) -> int:
 # -- subcommand bodies -------------------------------------------------------
 #
 # A body takes what the frame resolved from the config: the grid, the group,
-# the input data, the parameters its builder returned and the output
-# directory.  It writes its own .csv and .ymf files and returns its report.
-# It signals exit 3 by raising InvariantError, with its report, once its
-# files are written.
+# a one-slot list holding the input data, the parameters its builder
+# returned and the output directory.  It writes its own .csv and .ymf files
+# and returns its report.  It signals exit 3 by raising InvariantError, with
+# its report, once its files are written.
 
 
-def cmd_gen_data(grid, spec, d, eps, outdir) -> dict:
+def cmd_gen_data(grid, spec, slot, eps, outdir) -> dict:
+    d = slot.pop()
     _write_wave_state(outdir / "data.ymf", d.a, d.e, 0.0)
     F = gaugefield.curvature(d.a)
     F.e = d.e
@@ -389,9 +398,9 @@ def cmd_gen_data(grid, spec, d, eps, outdir) -> dict:
     return report
 
 
-def cmd_heat(grid, spec, d, params, outdir) -> dict:
+def cmd_heat(grid, spec, slot, params, outdir) -> dict:
     p, de_turck = params
-    traj = heatflow.run_heat(d.a, p, de_turck=de_turck)
+    traj = heatflow.run_heat(slot.pop().a, p, de_turck=de_turck)
     _dump_heat_csv(outdir, traj)
     snap.write_snapshot(
         outdir / "terminal.ymf",
@@ -415,8 +424,8 @@ def cmd_heat(grid, spec, d, params, outdir) -> dict:
     return report
 
 
-def cmd_wave(grid, spec, d, p, outdir) -> dict:
-    last, rows = _stream_wave(d, p)
+def cmd_wave(grid, spec, slot, p, outdir) -> dict:
+    last, rows = _stream_wave(slot, p)
     _write_wave_csv(outdir, rows)
     _write_wave_state(outdir / "final.ymf", last.a, last.adot, last.t)
     return {
@@ -428,7 +437,8 @@ def cmd_wave(grid, spec, d, p, outdir) -> dict:
     }
 
 
-def cmd_caloric(grid, spec, d, p, outdir) -> dict:
+def cmd_caloric(grid, spec, slot, p, outdir) -> dict:
+    d = slot.pop()
     a_cal, O, traj = heatflow.caloric_project(d.a, p)
     snap.write_snapshot(outdir / "caloric.ymf", a_cal.a, grid, spec, snap.KIND_CONNECTION, 0.0)
     div_norm, a_sq = heatflow.caloric_divergence(a_cal)
@@ -441,7 +451,8 @@ def cmd_caloric(grid, spec, d, p, outdir) -> dict:
     }
 
 
-def cmd_div_curl(grid, spec, d, p, outdir) -> dict:
+def cmd_div_curl(grid, spec, slot, p, outdir) -> dict:
+    d = slot.pop()
     cal = tangent.div_curl_decompose(d.a, d.e, p)
     snap.write_snapshot(outdir / "tangent_b.ymf", cal.b.b, grid, spec, snap.KIND_ELECTRIC, 0.0)
     snap.write_snapshot(outdir / "a0.ymf", cal.a0[None], grid, spec, snap.KIND_SCALARSET, 0.0)
@@ -455,8 +466,8 @@ def cmd_div_curl(grid, spec, d, p, outdir) -> dict:
     }
 
 
-def cmd_ed_norm(grid, spec, d, m, outdir) -> dict:
-    F = gaugefield.curvature(d.a)
+def cmd_ed_norm(grid, spec, slot, m, outdir) -> dict:
+    F = gaugefield.curvature(slot.pop().a)
     rows = spectral.lp_block_sups(F)
     _write_csv(outdir / "ed.csv", ["k [dyadic]", "weighted_block_sup [1/len^2]"], rows)
     return {
@@ -466,10 +477,10 @@ def cmd_ed_norm(grid, spec, d, m, outdir) -> dict:
     }
 
 
-def cmd_morawetz(grid, spec, d, params, outdir) -> dict:
+def cmd_morawetz(grid, spec, slot, params, outdir) -> dict:
     p, vertex, eps, t1, t2 = params
     acc = morawetz.MorawetzAccumulator(vertex, eps, t1, t2)
-    _stream_wave(d, p, observer=acc.add)
+    _stream_wave(slot, p, observer=acc.add)
     m = acc.report()
     columns = [
         ("t [len]", m.t),
@@ -524,7 +535,7 @@ def _regress_battery(workdir: Path) -> list:
     traj = heatflow.run_heat(d.a, p)
     _dump_heat_csv(workdir, traj)
     wp = wave.WaveParams(dt=0.25 * grid.h, t_end=0.5)
-    last, rows = _stream_wave(d, wp)
+    last, rows = _stream_wave([d], wp)
     _write_wave_csv(workdir, rows)
     _write_wave_state(workdir / "final.ymf", last.a, last.adot, last.t)
     return ["heat.csv", "wave.csv", "final.ymf"]

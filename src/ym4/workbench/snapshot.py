@@ -13,10 +13,13 @@ with the payload and carry no payload CRC, are still read.
 
 The payload is written one x4 slab (one x4 index, every other index) at a
 time with a running CRC32, so a write holds 1/n of the payload beyond the
-field itself; the bytes are those of the whole payload written at once.  The
-finiteness check also runs one x4 slab at a time.  A read still takes the
-payload in one piece: reading it by slab left a larger process peak in the
-CLI pipeline.
+field itself; the bytes are those of the whole payload written at once.  A
+payload may be given as Blocks, field arrays whose components it holds one
+after the other (a wave state's connection and electric field): each slab
+is filled from them, so they are never stacked into one payload-sized
+array.  The finiteness check also runs one x4 slab at a time.  A read still
+takes the payload in one piece: reading it by slab left a larger process
+peak in the CLI pipeline.
 """
 
 from __future__ import annotations
@@ -76,20 +79,36 @@ class SnapshotHeader:
     time: float
 
 
-def write_snapshot(path, arr: np.ndarray, grid: Grid4, spec: LieGroupSpec, kind: int, time: float = 0.0) -> None:
-    """arr: (components, n, n, n, n, d); written with the form index moved
-    inside the spatial indices per the declared payload order, one x4 slab
-    at a time."""
-    if arr.ndim != 6 or arr.shape[1:5] != grid.shape or arr.shape[5] != spec.dim:
-        raise SnapshotError(f"unexpected field shape {arr.shape}")
-    comps = arr.shape[0]
+class Blocks(tuple):
+    """Field arrays (components, n, n, n, n, d) that one payload holds one
+    after the other along the component axis.  Sized like an array
+    (nbytes), so code that measures a write reads both forms alike."""
+
+    @property
+    def nbytes(self) -> int:
+        return sum(b.nbytes for b in self)
+
+
+def write_snapshot(path, arr, grid: Grid4, spec: LieGroupSpec, kind: int, time: float = 0.0) -> None:
+    """arr: (components, n, n, n, n, d), or Blocks of such arrays; written
+    with the form index moved inside the spatial indices per the declared
+    payload order, one x4 slab at a time."""
+    blocks = (arr,) if isinstance(arr, np.ndarray) else tuple(arr)
+    for b in blocks:
+        if b.ndim != 6 or b.shape[1:5] != grid.shape or b.shape[5] != spec.dim:
+            raise SnapshotError(f"unexpected field shape {b.shape}")
+    comps = sum(b.shape[0] for b in blocks)
     head = _HEADER.pack(MAGIC, VERSION, group_id(spec), grid.n, grid.h, kind, comps, time)
+    slab = np.empty(grid.shape[1:] + (comps, spec.dim), dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(head)
         fh.write(struct.pack("<I", zlib.crc32(head) & 0xFFFFFFFF))
         crc = 0
         for i in range(grid.n):  # one x4 slab at a time
-            slab = np.ascontiguousarray(np.moveaxis(arr[:, i], 0, 3), dtype="<f8")
+            c = 0
+            for b in blocks:
+                slab[..., c : c + b.shape[0], :] = np.moveaxis(b[:, i], 0, 3)
+                c += b.shape[0]
             fh.write(slab)
             crc = zlib.crc32(slab, crc)
         fh.write(struct.pack("<I", crc & 0xFFFFFFFF))

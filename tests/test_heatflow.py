@@ -1,5 +1,7 @@
 """Unit tests for the gradient-flow integrators and caloric machinery."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,18 @@ def test_caloric_divergence_quadratic_in_amplitude():
         vals[amp] = div
     ratio = vals[0.04] / max(vals[0.02], 1e-300)
     assert 3.0 <= ratio <= 5.5
+
+
+def test_run_heat_frees_the_initial_connection_before_step_two():
+    g = small_grid()
+    refs, alive = [], []
+
+    def held_only_by_the_call():
+        a = data.random_connection(g, SU2, seed=2, amplitude=0.1, k_band=1, window=False)
+        refs.append(weakref.ref(a.a))
+        return a
+
+    p = params(g, s_max=3 * 0.1 * g.h**2)
+    run_heat(held_only_by_the_call(), p, observer=lambda k, s, a, F: alive.append(refs[0]() is not None))
+    # the initial state stays the last finite one until step 1's is checked
+    assert alive == [True, True, False, False]

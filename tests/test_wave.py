@@ -1,5 +1,7 @@
 """Unit tests for the temporal-gauge wave evolution."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,21 @@ def test_run_wave_observer_sees_the_kept_states(stride):
     # every stride-th step and the last: 0, 3, 6 and 7 at stride 3
     assert [w.t for w in kept] == list(kept_times(p))
     assert len(kept) == {1: 8, 3: 4}[stride]
+
+
+def _data_held_only_by_the_call(refs):
+    """Random data for a call to take over; refs gets weak references to
+    its arrays, and nothing else keeps them."""
+    d = data.random_data(small_grid(), SU2, seed=5, amplitude=0.05, k_band=1)
+    refs += [weakref.ref(d.a.a), weakref.ref(d.e)]
+    return d
+
+
+def test_run_wave_frees_the_initial_data_when_step_one_returns():
+    refs, alive = [], []
+    run_wave(
+        _data_held_only_by_the_call(refs),
+        WaveParams(dt=0.1, t_end=0.3),
+        observer=lambda w: alive.append([r() is not None for r in refs]),
+    )
+    assert alive == [[True, True]] + [[False, False]] * 3

@@ -169,15 +169,20 @@ def test_slab_writer_equals_the_whole_payload_writer(tmp_path, comps, spec):
 def test_write_snapshot_allocates_at_most_a_quarter_of_the_payload(tmp_path):
     g = Grid4(12, 0.5)
     arr = np.random.default_rng(0).normal(size=(8,) + g.shape + (3,))
-    path = tmp_path / "state.ymf"
-    snap.write_snapshot(path, arr, g, SU2, snap.KIND_WAVE_STATE, 0.0)
-    tracemalloc.start()
-    try:
-        snap.write_snapshot(path, arr, g, SU2, snap.KIND_WAVE_STATE, 0.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= arr.nbytes / 4, peak / arr.nbytes
+    write_snapshot_whole(tmp_path / "whole.ymf", arr, g, SU2, snap.KIND_WAVE_STATE, 0.0)
+    # one array, and a wave state's connection and electric field as Blocks
+    for payload in (arr, snap.Blocks((arr[:4].copy(), arr[4:].copy()))):
+        path = tmp_path / "state.ymf"
+        snap.write_snapshot(path, payload, g, SU2, snap.KIND_WAVE_STATE, 0.0)
+        tracemalloc.start()
+        try:
+            snap.write_snapshot(path, payload, g, SU2, snap.KIND_WAVE_STATE, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert payload.nbytes == arr.nbytes
+        assert peak <= arr.nbytes / 4, peak / arr.nbytes
+        assert path.read_bytes() == (tmp_path / "whole.ymf").read_bytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
