@@ -15,15 +15,22 @@ starts, and bracket_arr(..., acc=) adds each block into an accumulator
 with no full-size bracket temporary.  run_blocks spreads the blocks of a
 large enough call over one thread per usable CPU; numpy releases the
 interpreter lock inside each ufunc call, so the blocks run in parallel.
-A block's elements are written by one thread only and see the same
-operations in the same order whichever thread runs it, so the result
-depends neither on the block size nor on the thread count or the order in
-which the blocks finish.
+A field too small for that has its components spread instead:
+run_components hands the six pairs of a curvature, or the four rows of a
+tension, to the same threads.  A block's, or a component's, elements are
+written by one thread only and see the same operations in the same order
+whichever thread runs it, so the result depends neither on the block size
+nor on the thread count or the order in which the work items finish.
+
+Both share one pool and one rule: threads split at one level only.  A
+work item runs every call nested in it on its own thread, so a pool thread
+never submits to the pool or waits on it, and no call can deadlock.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,7 +44,8 @@ import numpy as np
 # a whole n = 24 field (8 MB per component) does not
 _BLOCK_SITES = 16384
 
-# threads that run the blocks of one kernel call: the caller plus
+# threads that run the blocks of one kernel call, or the components of one
+# field (run_components): the caller plus
 # _WORKERS - 1 pool threads, one per usable CPU
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -47,7 +55,16 @@ _WORKERS = (
 # on a small host, so an n = 16 field (4 blocks) ran slower on two threads
 # and an n = 20 field (10 blocks) faster
 _BLOCKS_PER_THREAD = 4
+# run_components splits a field's components over threads when one
+# component covers at least this many blocks but too few for run_blocks to
+# split its kernels (n = 14 to 18 at the real block size): a component
+# there is long enough to pay for the hand-over, which an n = 8 one is not
+# (a tension took 6.5-7.0 ms on two threads against 3.9-5.5 ms on one, on
+# a 2-CPU host), and an n = 12 one gained nothing end to end
+_SPLIT_MIN_BLOCKS = 2
 _pool: Optional[ThreadPoolExecutor] = None
+# .busy: this thread runs a work item, so calls nested in it stay on it
+_item = threading.local()
 
 # largest entry of the antisymmetry and Jacobi defects LieGroupSpec accepts
 SPEC_TOL = 1e-12
@@ -71,25 +88,56 @@ def run_blocks(n_blocks: int, work: Callable[[Iterator[int]], None], sites: int)
     iterator is atomic under the interpreter lock).  The call covers sites
     sites; it runs on one thread per _BLOCKS_PER_THREAD * _BLOCK_SITES of
     them, but on no more threads than _WORKERS or n_blocks.  work must
-    write disjoint elements for different indices and call no public ym4
-    function, so that every kernel call stays on the calling thread.
-    Returns, or re-raises the first error, only after every call has
-    returned, so no thread writes into an output after the kernel has."""
+    write disjoint elements for different indices; the calls it makes run
+    on its own thread (the one-level rule).  Returns, or re-raises the
+    first error, only after every call has returned, so no thread writes
+    into an output after the kernel has."""
+    _run(n_blocks, work, min(_WORKERS, n_blocks, sites // (_BLOCKS_PER_THREAD * _BLOCK_SITES)))
+
+
+def run_components(n_items: int, work: Callable[[Iterator[int]], None], sites: int) -> None:
+    """work(items) over the n_items components of a field, each of sites
+    sites.  A component of _SPLIT_MIN_BLOCKS blocks or more, but of fewer
+    than the 2 * _BLOCKS_PER_THREAD that let run_blocks split a kernel on
+    it, is a work item as a block is in run_blocks: the components are
+    spread over up to _WORKERS threads, and the kernels each one calls run
+    on its thread (with n_items = 1, all on the calling thread).  Otherwise
+    work runs as a plain loop, and its kernels split by blocks as they may."""
+    if _SPLIT_MIN_BLOCKS * _BLOCK_SITES <= sites < 2 * _BLOCKS_PER_THREAD * _BLOCK_SITES:
+        _run(n_items, work, min(_WORKERS, n_items))
+    else:
+        work(iter(range(n_items)))
+
+
+def _run(n_items: int, work: Callable[[Iterator[int]], None], threads: int) -> None:
+    """work(items) on threads threads drawing from one iterator over
+    range(n_items).  Each is a work item: the calls nested in it run on its
+    thread, as does a whole call made from inside another work item."""
     global _pool
-    blocks = iter(range(n_blocks))
-    helpers = min(_WORKERS, n_blocks, sites // (_BLOCKS_PER_THREAD * _BLOCK_SITES)) - 1
-    if helpers < 1:
-        work(blocks)
+    items = iter(range(n_items))
+    if getattr(_item, "busy", False):
+        work(items)
+        return
+    if threads < 2:
+        _work_item(work, items)
         return
     if _pool is None:
         _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="ym4-blocks")
-    futures = [_pool.submit(work, blocks) for _ in range(helpers)]
+    futures = [_pool.submit(_work_item, work, items) for _ in range(threads - 1)]
     try:
-        work(blocks)
+        _work_item(work, items)
     finally:
         wait(futures)
     for fut in futures:
         fut.result()
+
+
+def _work_item(work: Callable[[Iterator[int]], None], items: Iterator[int]) -> None:
+    _item.busy = True
+    try:
+        work(items)
+    finally:
+        _item.busy = False
 
 
 class AlgebraError(ValueError):

@@ -110,13 +110,37 @@ def covariant_derivative(a: ConnectionField, B: np.ndarray, j: int) -> np.ndarra
 
 
 def curvature(a: ConnectionField) -> CurvatureField:
-    """f_{ij} = partial_i a_j - partial_j a_i + [a_i, a_j]."""
+    """f_{ij} = partial_i a_j - partial_j a_i + [a_i, a_j].
+
+    Each pair is one work item of algebra.run_components, written into its
+    own slice of f, so on an n = 14 to 18 grid the pairs are spread over
+    the usable CPUs; the bits do not depend on which thread builds a pair.
+    """
     g = a.grid
     f = np.empty((6,) + g.shape + (a.spec.dim,))
-    for k, (i, j) in enumerate(PAIRS):
-        np.subtract(g.partial(a.a[j - 1], i), g.partial(a.a[i - 1], j), out=f[k])
-        algebra.bracket_arr(a.spec, a.a[i - 1], a.a[j - 1], acc=f[k])
+
+    def pairs(ks):
+        for k in ks:
+            i, j = PAIRS[k]
+            np.subtract(g.partial(a.a[j - 1], i), g.partial(a.a[i - 1], j), out=f[k])
+            algebra.bracket_arr(a.spec, a.a[i - 1], a.a[j - 1], acc=f[k])
+
+    algebra.run_components(len(PAIRS), pairs, g.n**4)
     return CurvatureField(g, a.spec, f)
+
+
+def _tension_row(a: ConnectionField, F: CurvatureField, k: int, t: np.ndarray) -> None:
+    """T_k = Sum_l D_l f_{lk}, summed into t onto zeros in order l = 1..4.
+
+    For l > k the stored pair is f_{kl} = -f_{lk}, and D_l f_{kl} is
+    subtracted; IEEE negation is exact, so this equals adding D_l f_{lk}.
+    """
+    t.fill(0.0)
+    for l in range(1, 5):
+        if l < k:
+            t += covariant_derivative(a, F.f[_PAIR_INDEX[(l, k)]], l)
+        elif l > k:
+            t -= covariant_derivative(a, F.f[_PAIR_INDEX[(k, l)]], l)
 
 
 def curvature_tension(
@@ -126,34 +150,42 @@ def curvature_tension(
 ) -> np.ndarray:
     """T_k = Sum_l D_l f_{lk}: the static Yang-Mills tension, shape (4,...,d).
 
-    For l > k the stored pair is f_{kl} = -f_{lk}, and D_l f_{kl} is
-    subtracted; IEEE negation is exact, so this equals adding D_l f_{lk}.
-    Each row T_k is summed onto zeros in a buffer of its own.
+    Each row T_k is summed onto zeros in a buffer of its own, as one work
+    item of algebra.run_components, so on an n = 14 to 18 grid the rows
+    are spread over the usable CPUs.
 
     With kick = (c, v), v (shape (4,...,d)) gets v + c * T in place and is
     returned, with no connection-sized T held: each row is built in one
     component-sized buffer, scaled by c and added into v[k-1].  That is
     bitwise stepping.axpy(c, T, v) with T the default result, since IEEE
-    addition commutes.
+    addition commutes.  The kick, the curvature it builds included, is a
+    single work item on the calling thread: spreading it would hold a
+    second row buffer, or a second pair's temporaries, at its peak.
     """
-    if F is None:
-        F = curvature(a)
-    out = np.empty_like(a.a) if kick is None else kick[1]
-    row = None if kick is None else np.empty_like(a.a[0])
-    for k in range(1, 5):
-        t = out[k - 1] if kick is None else row
-        t.fill(0.0)
-        for l in range(1, 5):
-            if l == k:
-                continue
-            if l < k:
-                t += covariant_derivative(a, F.f[_PAIR_INDEX[(l, k)]], l)
-            else:
-                t -= covariant_derivative(a, F.f[_PAIR_INDEX[(k, l)]], l)
-        if kick is not None:
-            t *= kick[0]
-            out[k - 1] += t
-    return out
+    sites = a.grid.n**4
+    if kick is None:
+        if F is None:
+            F = curvature(a)
+        out = np.empty_like(a.a)
+
+        def rows(ks):
+            for k in ks:
+                _tension_row(a, F, k + 1, out[k])
+
+        algebra.run_components(4, rows, sites)
+        return out
+    c, v = kick
+
+    def closing(_):
+        G = curvature(a) if F is None else F
+        row = np.empty_like(a.a[0])
+        for k in range(1, 5):
+            _tension_row(a, G, k, row)
+            row *= c
+            v[k - 1] += row
+
+    algebra.run_components(1, closing, sites)
+    return v
 
 
 def covariant_divergence(a: ConnectionField, v: np.ndarray) -> np.ndarray:

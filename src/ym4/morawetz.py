@@ -34,7 +34,9 @@ feed it through run_wave's observer.  Per snapshot it keeps three scalars
 (time, dissipation, flux); beyond them it holds the first weighted energy
 and the latest snapshot's cone window, whose weighted energy it takes when
 the report is asked for, since only then is that snapshot known to be the
-last.  morawetz_identity_residual feeds it a list.
+last.  A window smaller than the grid owns copies of its fields, so it
+keeps none of its snapshot's arrays alive.  morawetz_identity_residual
+feeds it a list.
 """
 
 from __future__ import annotations
@@ -268,7 +270,9 @@ def _cone(w: WaveState, vertex) -> _Cone:
         sub = (slice(None),) + cut
         win = Grid4.window(cut[0].stop - cut[0].start, g.h)
         a = ConnectionField(win, w.a.spec, np.ascontiguousarray(w.a.a[sub]))
-        e = w.adot[sub]
+        # a copy, not a view: a view would keep all of w.adot alive as long
+        # as the cone, which the accumulator holds until the next snapshot
+        e = np.ascontiguousarray(w.adot[sub])
     x = _offsets(g, vertex[1:], cut)
     return _Cone(t, g, e, curvature(a), x, _radius(x))
 

@@ -209,7 +209,7 @@ def test_bracket_arr_matches_structure_constants():
     assert np.max(np.abs(via_cross - via_table)) <= 1e-13
 
 
-# -- run_blocks: the threads of the blocked kernels ----------------------------
+# -- run_blocks and run_components: the threads of the kernels ----------------
 
 
 @pytest.fixture
@@ -297,6 +297,70 @@ def test_run_blocks_raises_only_after_every_call_returns(workers, raiser):
     with pytest.raises(RuntimeError, match="block failed"):
         algebra.run_blocks(50, work, 50 * algebra._BLOCK_SITES)
     assert len(returned) == 2
+
+
+# threads that run a field's components, by the sites of one component in
+# blocks: split only from 2 blocks up to the 8 at which run_blocks splits
+@pytest.mark.parametrize("blocks, threads", [(1, 1), (2, 3), (7.9, 3), (8, 1), (50, 1)])
+def test_run_components_splits_only_fields_too_small_for_blocks(workers, blocks, threads):
+    workers(3)
+    seen, calls = [], []
+
+    def work(items):
+        calls.append(None)
+        seen.extend(items)
+
+    algebra.run_components(4, work, int(blocks * algebra._BLOCK_SITES))
+    assert sorted(seen) == [0, 1, 2, 3] and len(calls) == threads
+
+
+def test_a_split_work_item_runs_its_nested_calls_on_its_own_thread(workers, monkeypatch):
+    workers(3)
+    submitters, lock = [], threading.Lock()
+    pool_class = algebra.ThreadPoolExecutor
+
+    class RecordingPool(pool_class):
+        def submit(self, fn, *args, **kwargs):
+            submitters.append(threading.current_thread())
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "ThreadPoolExecutor", RecordingPool)
+    # each item holds until all three threads hold one, so every thread
+    # runs an item, and each nested call is large enough to split by blocks
+    barrier = threading.Barrier(3, timeout=30)
+    nested = {}
+
+    def work(items):
+        outer = threading.current_thread()
+        for i, item in enumerate(items):
+            if i == 0:
+                barrier.wait()
+            ran = set()
+
+            def inner(blocks):
+                with lock:
+                    ran.add(threading.current_thread())
+                for _ in blocks:
+                    pass
+
+            algebra.run_blocks(50, inner, 50 * algebra._BLOCK_SITES)
+            nested[item] = (outer, ran)
+
+    # a nested call that waited on the pool from a pool thread could wait
+    # forever, so the call runs on a thread that is given a time limit
+    caller = threading.Thread(
+        target=algebra.run_components, args=(6, work, 2 * algebra._BLOCK_SITES), daemon=True
+    )
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert sorted(nested) == list(range(6))
+    assert all(ran == {outer} for outer, ran in nested.values())
+    assert len({outer for outer, _ in nested.values()}) == 3
+    assert submitters == [caller] * 2
+    # outside a work item the same call splits by blocks again
+    algebra.run_blocks(50, lambda blocks: list(blocks), 50 * algebra._BLOCK_SITES)
+    assert submitters[2:] == [threading.current_thread()] * 2
 
 
 def _bracket_at_n24():

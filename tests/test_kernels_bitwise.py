@@ -12,9 +12,14 @@ algebra._BLOCK_SITES sites, spread over algebra._WORKERS threads.  Every
 test here but the last shrinks the block to 7 sites, so each field crosses
 many block boundaries and ends on a ragged block, and compares each kernel
 run on the calling thread alone and on three threads, more than the CPUs
-of a small host, so blocks finish out of order; the last runs at the real
-block size and the default thread count on an n = 24 grid.
+of a small host, so blocks finish out of order.  The last two run at the
+real block size: on an n = 16 grid, where curvature and curvature_tension
+spread their pairs and rows over the threads instead of the blocks, and on
+an n = 24 grid at the default thread count.
 """
+
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -268,6 +273,46 @@ def test_tension_kick_equals_axpy_of_the_tension(thread_counts, n, boundary):
         v = d.e.copy()
         got = curvature_tension(d.a, kick=(c, v))
         assert got is v and same_bits(got, want), workers
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_curvature_and_tension_split_over_components_at_n16(monkeypatch, boundary):
+    # 16^4 sites are 4 blocks of 16384: too few for run_blocks to split a
+    # kernel call, enough for run_components to split the pairs and rows
+    monkeypatch.setattr(algebra, "_BLOCK_SITES", BLOCK_SITES)
+    submitters = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitters.append(threading.current_thread())
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "ThreadPoolExecutor", RecordingPool)
+    g = Grid4(16, 0.25, boundary=boundary)
+    a = ConnectionField(g, SU2, field(7, (4,) + g.shape + (3,), zeros=True))
+    v0 = field(8, (4,) + g.shape + (3,), zeros=True)
+    c = 0.5 * 0.25 * g.h
+    f_want = curvature_formula(a)
+    t_want = tension_loop(a, curvature(a))
+    kick_want = axpy(c, t_want.copy(), v0)
+    caller = threading.current_thread()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(algebra, "_WORKERS", workers)
+        monkeypatch.setattr(algebra, "_pool", None)
+        submitters.clear()
+        F = curvature(a)
+        assert same_bits(F.f, f_want), workers
+        assert same_bits(curvature_tension(a, F), t_want), workers
+        v = v0.copy()
+        assert curvature_tension(a, kick=(c, v)) is v and same_bits(v, kick_want), workers
+        # one hand-over per pool thread to the curvature and to the plain
+        # tension; none to the kick, which builds its own curvature and
+        # rows on the calling thread, and none from a work item, whose
+        # nested calls stay on its thread
+        assert len(submitters) == 2 * (workers - 1), workers
+        assert all(t is caller for t in submitters), workers
+        if algebra._pool is not None:
+            algebra._pool.shutdown()
 
 
 def test_kernels_at_the_real_block_size_on_an_open_n24_grid(monkeypatch):

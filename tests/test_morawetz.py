@@ -6,6 +6,8 @@ full-grid forms that the assembly is checked against live here, as
 reference forms, not in the package.
 """
 
+import gc
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -338,6 +340,24 @@ def test_streamed_report_equals_the_list_form(bpst_run):
     assert got.t == last.t == bpst_run[-1].t
     # only the latest snapshot's cone window is held
     assert acc.last.t == last.t - VERTEX[0] and acc.times == [w.t for w in bpst_run]
+
+
+def test_streamed_accumulator_holds_no_array_of_a_snapshot(bpst_run):
+    # the latest cone window is cut out of its snapshot, not a view into
+    # it, so no fed state outlives the run that streamed it
+    acc = morawetz.MorawetzAccumulator(VERTEX, eps=0.5, t1=0.0, t2=1.0)
+    fed = []
+
+    def add(w):
+        fed.append((weakref.ref(w.a.a), weakref.ref(w.adot)))
+        acc.add(w)
+
+    wave.run_wave(*bpst_flow(), observer=add)  # the returned last state is dropped
+    gc.collect()
+    assert len(fed) == 3 and all(ref() is None for refs in fed for ref in refs)
+    assert acc.last.e.flags.owndata and acc.last.e.shape[1] < 16
+    want = morawetz.morawetz_identity_residual(bpst_run, VERTEX, eps=0.5, t1=0.0, t2=1.0)
+    assert [v.hex() for v in astuple(acc.report())] == [v.hex() for v in astuple(want)]
 
 
 def _moved(w):

@@ -541,11 +541,12 @@ def test_cli_kernel_threads_follow_cpu_affinity(tmp_path):
     assert outs[1] == outs[len(cpus)]
 
 
-# a periodic n = 20 grid: a kernel call on one component covers 10 blocks,
-# enough for run_blocks to hand some of them to a pool thread
-N20_CFG = """
+# a periodic grid of n = 16, where a component covers 4 blocks and
+# run_components hands pairs and rows to a pool thread, or of n = 20, where
+# it covers 10 blocks and run_blocks hands blocks to one
+THREADS_CFG = """
 [grid]
-n = 20
+n = {n}
 h = 0.5
 [data]
 kind = random
@@ -562,6 +563,14 @@ t_end = 0.5
 
 
 def test_cli_outputs_equal_on_one_and_two_kernel_threads(tmp_path, monkeypatch):
+    assert_outputs_equal_on_one_and_two_kernel_threads(tmp_path, monkeypatch, 20)
+
+
+def test_cli_outputs_equal_on_one_and_two_kernel_threads_at_a_split_size(tmp_path, monkeypatch):
+    assert_outputs_equal_on_one_and_two_kernel_threads(tmp_path, monkeypatch, 16)
+
+
+def assert_outputs_equal_on_one_and_two_kernel_threads(tmp_path, monkeypatch, n):
     handed = []
 
     class CountingPool(ThreadPoolExecutor):
@@ -571,7 +580,7 @@ def test_cli_outputs_equal_on_one_and_two_kernel_threads(tmp_path, monkeypatch):
 
     monkeypatch.setattr(algebra, "ThreadPoolExecutor", CountingPool)
     path = tmp_path / "exp.cfg"
-    path.write_text(N20_CFG)
+    path.write_text(THREADS_CFG.format(n=n))
     outs, handoffs = {}, {}
     for workers in (1, 2):
         monkeypatch.setattr(algebra, "_WORKERS", workers)

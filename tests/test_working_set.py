@@ -5,9 +5,11 @@ allocates (its inputs are built before tracing starts), over the nbytes of
 one connection (4 x n^4 x 3 doubles).  A flow should hold a few field
 states, and no step should keep an array the next step does not read.  Each
 call runs once untraced first, so one-time allocations (thread pools, FFT
-plans) are not counted.  A CLI stage's figure includes its input snapshot,
-which the stage reads inside the call; the stages that consume their input
-free it after its first use.
+plans) are not counted.  tracemalloc counts what every thread allocates, so
+the heat and wave-step bounds run again at n = 16, where curvature and
+curvature_tension build their components on more than one thread.  A CLI
+stage's figure includes its input snapshot, which the stage reads inside
+the call; the stages that consume their input free it after its first use.
 """
 
 import gc
@@ -25,7 +27,7 @@ CONNECTION_BYTES = 4 * G.n**4 * SU2.dim * 8
 FOUR_STEPS = heatflow.HeatParams(ds=0.05 * G.h**2, s_max=4 * 0.05 * G.h**2)
 
 
-def peak_in_connections(call):
+def peak_in_connections(call, connection_bytes=CONNECTION_BYTES):
     call()
     gc.collect()
     tracemalloc.start()
@@ -34,7 +36,7 @@ def peak_in_connections(call):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / CONNECTION_BYTES
+    return peak / connection_bytes
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +65,20 @@ def test_wave_step_holds_at_most_four_point_six_connections(d):
     w = wave.WaveState(0.0, d.a, d.e)
     peak = peak_in_connections(lambda: wave.wave_step(w, 0.25 * G.h))
     assert peak <= 4.6, peak
+
+
+def test_heat_and_wave_step_bounds_hold_where_components_split():
+    # at n = 16 the pairs and rows run on several threads at once, each
+    # with its own temporaries; the kick, with its curvature, on one
+    g = Grid4(16, 0.5)
+    d = data.random_data(g, SU2, seed=3, amplitude=0.05, k_band=1, window=False)
+    connection = 4 * g.n**4 * SU2.dim * 8
+    steps = heatflow.HeatParams(ds=0.05 * g.h**2, s_max=4 * 0.05 * g.h**2)
+    peak = peak_in_connections(lambda: heatflow.run_heat(d.a, steps), connection)
+    assert peak <= 6.0, peak
+    w = wave.WaveState(0.0, d.a, d.e)
+    peak = peak_in_connections(lambda: wave.wave_step(w, 0.25 * g.h), connection)
+    assert peak <= 4.6, peak  # the tighter wave-step bound; the other is 5.5
 
 
 @pytest.fixture(scope="module")
