@@ -6,10 +6,10 @@ term D_i(div a).  Explicit midpoint-RK2 stepping with the stability budget
 ds <= 0.2 h^2.  Working set: a step holds the connection, its midpoint stage
 and the curvature and tension being built (each stage is made in its
 right-hand side's buffer); run_heat adds one curvature and the diagnostics,
-and allocates at most 5.2 connection-sized arrays at a time over four steps
-at n = 12.  tangent co-evolves a field with the connection by the coupled
-midpoint rule, whose update of the connection is this step operation for
-operation.
+and its peak allocation does not grow with the number of steps
+(tests/test_working_set.py bounds it in connection-sized arrays).  tangent
+co-evolves a field with the connection by the coupled midpoint rule, whose
+update of the connection is this step operation for operation.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Energy-momentum tensor, null decomposition, and the hyperboloidal
-weighted-energy monotonicity diagnostics.
+"""Energy-momentum tensor and the hyperboloidal weighted-energy
+monotonicity diagnostics.
 
 Conventions: Minkowski signature (-, +, +, +, +); temporal-gauge states
 supply F_{0j} = adot_j.  The multiplier vector field is
@@ -9,15 +9,19 @@ supply F_{0j} = adot_j.  The multiplier vector field is
 
 whose contracted momentum P_alpha = T_{alpha beta} X^beta satisfies the
 divergence identity with nonnegative bulk density (2 / rho_eps)|iota_X F|^2.
-The names keep the curvature null component (varrho) and the hyperboloidal
-weight (rho_eps) fully spelled out.
+Both boundary terms of the integrated identity come from that one P: the
+weighted energy of a cone section is the integral of P_0 over the ball
+r <= t, and the lateral flux the integral of P_0 + nhat^j P_j over the
+one-cell shell r ~ t, divided by h.  The null components of F, in which
+the weighted energy is usually written, are not needed; they live in
+tests/oracles.py, where a test checks that their weighted integrand is P_0.
+The names keep the hyperboloidal weight (rho_eps) fully spelled out.
 
-The pointwise formulas (T, iota_X F, the null frame and its components)
-act on any trailing site shape.  The identity assembly is the only place
-they are evaluated, and only on the sites it integrates, gathered as
-e[:, sel], f[:, sel], x[:, sel]: the cone interior for the dissipation, the
-one-cell shell r ~ t for the lateral flux, and the ball r <= t at the two
-end snapshots for the weighted energy.
+The pointwise formulas (T, P and iota_X F) act on any trailing site shape.
+The identity assembly is the only place they are evaluated, and only on
+the sites it integrates, gathered as e[:, sel], f[:, sel], x[:, sel]: the
+cone interior for the dissipation, the shell for the lateral flux, and the
+ball at the two end snapshots for the weighted energy.
 
 Those sites all lie within r <= t + h/2 of the vertex, so each snapshot is
 first cut to its cone window: the smallest even cube, at least 8 points
@@ -49,15 +53,6 @@ import numpy as np
 from .gaugefield import ConnectionField, CurvatureField, FieldError, curvature, pair_component
 from .grid import Grid4
 from .wave import WaveState
-
-
-@dataclass
-class NullFrame:
-    """Per-site radial direction, tangential triad, and validity mask."""
-
-    nhat: np.ndarray  # (4, ...)
-    tangent: np.ndarray  # (3, 4, ...)
-    mask: np.ndarray  # (...) bool, True where r >= 2h
 
 
 _WHOLE = (slice(None),) * 4
@@ -94,56 +89,6 @@ def _contract(v: np.ndarray, f: np.ndarray, out: Optional[np.ndarray] = None) ->
 def _sq(v: np.ndarray) -> np.ndarray:
     """Per-site squared norm over a leading component axis and the algebra axis."""
     return np.einsum("a...c,a...c->...", v, v)
-
-
-# -- null frame and components ----------------------------------------------
-
-
-def _frame(x: np.ndarray, h: float) -> NullFrame:
-    """Null frame at sites with coordinates x (4, ...) relative to the center.
-
-    The tangential triad comes from Gram-Schmidt on the coordinate axes
-    with the axis of largest |nhat| component dropped; sites with r < 2h
-    are masked out.
-    """
-    r = np.sqrt(np.einsum("j...,j...->...", x, x))
-    mask = r >= 2.0 * h - 1e-12
-    nhat = x / np.where(r > 0.0, r, 1.0)
-
-    drop = np.argmax(np.abs(nhat), axis=0)
-    tangent = np.zeros((3,) + x.shape)
-    for m in range(4):
-        sel = drop == m
-        if not np.any(sel):
-            continue
-        axes = [ax for ax in range(4) if ax != m]
-        prev = [nhat[:, sel]]  # list of (4, nsel) unit vectors
-        for slot, ax in enumerate(axes):
-            v = np.zeros((4, int(sel.sum())))
-            v[ax] = 1.0
-            for u in prev:
-                v -= np.einsum("js,js->s", u, v) * u
-            v /= np.sqrt(np.einsum("js,js->s", v, v))
-            prev.append(v)
-            tangent[slot, :, sel] = v.T
-    return NullFrame(nhat, tangent, mask)
-
-
-def _null_components(e: np.ndarray, f: np.ndarray, frame: NullFrame):
-    """(alpha, alphabar, varrho, sigma) of (e, f) in the frame, unmasked."""
-    b = _contract(frame.nhat, f)  # b_k = nhat^j f_{jk}
-    alpha = np.einsum("ak...,k...c->a...c", frame.tangent, e + b)
-    alphabar = np.einsum("ak...,k...c->a...c", frame.tangent, e - b)
-    varrho = -np.einsum("k...,k...c->...c", frame.nhat, e)
-    # sigma_ab = f_{jk} e_a^j e_b^k for tangent pairs (1,2), (1,3), (2,3)
-    f_on_tangent = [_contract(frame.tangent[a], f) for a in range(2)]
-    sigma = np.stack(
-        [
-            np.einsum("k...,k...c->...c", frame.tangent[b], f_on_tangent[a])
-            for a, b in ((0, 1), (0, 2), (1, 2))
-        ]
-    )
-    return alpha, alphabar, varrho, sigma
 
 
 # -- energy-momentum tensor -------------------------------------------------
@@ -287,30 +232,22 @@ def interior_dissipation(cone: _Cone, eps: float) -> float:
     return cone.grid.integrate(2.0 * _sq(iota) / rho)
 
 
-def weighted_energy(cone: _Cone, eps: float) -> float:
-    """The hyperboloidal weighted energy over the cone section S_t.
+def _momentum(cone: _Cone, eps: float, sel: np.ndarray) -> np.ndarray:
+    """P_alpha = T_{alpha beta} X^beta at the cone sites sel; shape (5, nsel)."""
+    t, r = cone.t, cone.r[sel]
+    T = _stress(cone.e[:, sel], cone.F.f[:, sel])
+    rho = np.sqrt(np.maximum((t + eps) ** 2 - r**2, 1e-300))
+    X = np.concatenate([((t + eps) / rho)[None], cone.x[:, sel] / rho])
+    return np.einsum("ab...,b...->a...", T, X)
 
-    Integrand (1/2) w+ (|alpha|^2 + |varrho|^2 + |sigma|^2)
-            + (1/2) w- (|alphabar|^2 + |varrho|^2 + |sigma|^2),
-    w+- = ((t + eps +- r) / (t + eps -+ r))^{1/2}; sites masked out of the
-    null frame contribute the plain energy density with the mean weight.
-    """
-    g, t = cone.grid, cone.t
-    inside = cone.r <= t
-    r = cone.r[inside]
-    if not np.all(r < t + eps):
+
+def weighted_energy(cone: _Cone, eps: float) -> float:
+    """The hyperboloidal weighted energy over the cone section S_t: the
+    integral of P_0 = T_{0 beta} X^beta over the ball r <= t."""
+    inside = cone.r <= cone.t
+    if not np.all(cone.r[inside] < cone.t + eps):
         raise FieldError("cone section touches the characteristic r = t + eps")
-    e, f = cone.e[:, inside], cone.F.f[:, inside]
-    frame = _frame(cone.x[:, inside], g.h)
-    alpha, alphabar, varrho, sigma = _null_components(e, f, frame)
-    wp = np.sqrt((t + eps + r) / np.maximum(t + eps - r, 1e-300))
-    wm = 1.0 / wp
-    good = np.einsum("...c,...c->...", varrho, varrho) + _sq(sigma)
-    integrand = 0.5 * wp * (_sq(alpha) + good) + 0.5 * wm * (_sq(alphabar) + good)
-    # masked (small-r) sites: null frame unavailable; reconstruction identity
-    # lets the plain density stand in, with the mean weight
-    dens = _sq(f) + _sq(e)
-    return g.integrate(np.where(frame.mask, integrand, 0.5 * (wp + wm) * dens))
+    return cone.grid.integrate(_momentum(cone, eps, inside)[0])
 
 
 @dataclass
@@ -327,17 +264,13 @@ class MorawetzReport:
 def _boundary_flux(cone: _Cone, eps: float) -> float:
     """Lateral cone-boundary integrand: shell sum of P_0 + nhat^j P_j.
 
-    P_alpha = T_{alpha beta} X^beta, formed on the shell only; the shell is
-    one cell thick around r = t - t0, volume-summed and divided by the
-    thickness h.
+    The shell is one cell thick around r = t - t0, volume-summed and
+    divided by the thickness h.
     """
-    g, t = cone.grid, cone.t
-    shell = np.abs(cone.r - t) <= 0.5 * g.h
+    g = cone.grid
+    shell = np.abs(cone.r - cone.t) <= 0.5 * g.h
+    P = _momentum(cone, eps, shell)
     r, x = cone.r[shell], cone.x[:, shell]
-    T = _stress(cone.e[:, shell], cone.F.f[:, shell])
-    rho = np.sqrt(np.maximum((t + eps) ** 2 - r**2, 1e-300))
-    X = np.concatenate([((t + eps) / rho)[None], x / rho])
-    P = np.einsum("ab...,b...->a...", T, X)
     nhat = x / np.where(r > 0.0, r, 1.0)
     flux = P[0] + np.einsum("j...,j...->...", nhat, P[1:])
     return g.integrate(flux) / g.h

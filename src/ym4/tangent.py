@@ -17,9 +17,9 @@ The pair (a, V) takes one explicit midpoint step of the coupled system per
 step, each stage building one curvature that the heat tension and the
 linear rhs share.  Working set: a step holds a, V, their midpoint stages
 and one curvature; the electric pass is freed before the tangent pass, and
-div_curl_decompose allocates at most 10.4 connection-sized arrays at a time
-at n = 12 (linearized_rhs holds up to four of its six D_j B_k - D_k B_j
-pairs at once).
+linearized_rhs holds up to four of its six D_j B_k - D_k B_j pairs at once
+(tests/test_working_set.py bounds div_curl_decompose's peak allocation in
+connection-sized arrays).
 """
 
 from __future__ import annotations

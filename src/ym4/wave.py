@@ -14,9 +14,9 @@ streamed run holds a few states whatever t_end is.  The Morawetz identity
 over these states is assembled in ym4.morawetz, also one state at a time.
 Working set: a step holds the state, its half kick, the new connection and
 the curvature and tension being built; the closing kick adds each tension
-row into the half kick as it is built, so no whole closing tension is held,
-and a step allocates at most 4.4 connection-sized arrays at a time at
-n = 12, the new state included.
+row into the half kick as it is built, so no whole closing tension is held.
+A step's peak allocation, the new state included, is a few connection-sized
+arrays; tests/test_working_set.py holds it to its bound.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import BlowUpError
 from .gaugefield import (
     ConnectionField,
-    CurvatureField,
     InitialDataSet,
     curvature,
     curvature_tension,
@@ -68,11 +67,6 @@ class WaveState:
     # total energy, recorded by run_wave for the states it returns
     energy: float = field(default=np.nan)
 
-    def curvature(self) -> CurvatureField:
-        F = curvature(self.a)
-        F.e = self.adot
-        return F
-
 
 def wave_step(w: WaveState, dt: float) -> WaveState:
     """One kick-drift-kick leapfrog step (time-reversible); the acceleration
@@ -89,7 +83,9 @@ def wave_step(w: WaveState, dt: float) -> WaveState:
 
 def _energy_and_peak(w: WaveState) -> tuple:
     """Total energy and peak energy density of a state, from one density."""
-    dens = energy_density(w.curvature())
+    F = curvature(w.a)
+    F.e = w.adot
+    dens = energy_density(F)
     return w.a.grid.integrate(dens), float(np.max(dens))
 
 

@@ -6,10 +6,11 @@ tests because no part of ym4 needs them.
 
 import struct
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
-from ym4 import algebra, data, spectral
+from ym4 import algebra, data, morawetz, spectral
 from ym4.gaugefield import GaugeTransformField, covariant_derivative, pair_component
 from ym4.workbench import snapshot
 
@@ -215,3 +216,59 @@ def write_snapshot_whole(path, arr, grid, spec, kind: int, time: float = 0.0) ->
         fh.write(struct.pack("<I", zlib.crc32(head) & 0xFFFFFFFF))
         fh.write(payload)
         fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+
+
+@dataclass
+class NullFrame:
+    """Per-site radial direction, tangential triad, and validity mask."""
+
+    nhat: np.ndarray  # (4, ...)
+    tangent: np.ndarray  # (3, 4, ...)
+    mask: np.ndarray  # (...) bool, True where r >= 2h
+
+
+def null_frame(x: np.ndarray, h: float) -> NullFrame:
+    """Null frame at sites with coordinates x (4, ...) relative to the center.
+
+    The tangential triad comes from Gram-Schmidt on the coordinate axes
+    with the axis of largest |nhat| component dropped; sites with r < 2h
+    are masked out.
+    """
+    r = np.sqrt(np.einsum("j...,j...->...", x, x))
+    mask = r >= 2.0 * h - 1e-12
+    nhat = x / np.where(r > 0.0, r, 1.0)
+
+    drop = np.argmax(np.abs(nhat), axis=0)
+    tangent = np.zeros((3,) + x.shape)
+    for m in range(4):
+        sel = drop == m
+        if not np.any(sel):
+            continue
+        axes = [ax for ax in range(4) if ax != m]
+        prev = [nhat[:, sel]]  # list of (4, nsel) unit vectors
+        for slot, ax in enumerate(axes):
+            v = np.zeros((4, int(sel.sum())))
+            v[ax] = 1.0
+            for u in prev:
+                v -= np.einsum("js,js->s", u, v) * u
+            v /= np.sqrt(np.einsum("js,js->s", v, v))
+            prev.append(v)
+            tangent[slot, :, sel] = v.T
+    return NullFrame(nhat, tangent, mask)
+
+
+def null_components(e: np.ndarray, f: np.ndarray, frame: NullFrame):
+    """(alpha, alphabar, varrho, sigma) of (e, f) in the frame, unmasked."""
+    b = morawetz._contract(frame.nhat, f)  # b_k = nhat^j f_{jk}
+    alpha = np.einsum("ak...,k...c->a...c", frame.tangent, e + b)
+    alphabar = np.einsum("ak...,k...c->a...c", frame.tangent, e - b)
+    varrho = -np.einsum("k...,k...c->...c", frame.nhat, e)
+    # sigma_ab = f_{jk} e_a^j e_b^k for tangent pairs (1,2), (1,3), (2,3)
+    f_on_tangent = [morawetz._contract(frame.tangent[a], f) for a in range(2)]
+    sigma = np.stack(
+        [
+            np.einsum("k...,k...c->...c", frame.tangent[b], f_on_tangent[a])
+            for a, b in ((0, 1), (0, 2), (1, 2))
+        ]
+    )
+    return alpha, alphabar, varrho, sigma

@@ -1,9 +1,10 @@
-"""Unit tests for the energy-momentum tensor, the null frame and the
-Morawetz identity assembly.
+"""Unit tests for the energy-momentum tensor, the null-frame oracle and
+the Morawetz identity assembly.
 
-The pointwise forms are tested on random sites of random shape; the
-full-grid forms that the assembly is checked against live here, as
-reference forms, not in the package.
+The pointwise forms are tested on random sites of random shape, and the
+weighted energy's momentum P_0 against the null-form integrand of the
+frame in oracles.py; the full-grid forms that the assembly is checked
+against live here, as reference forms, not in the package.
 """
 
 import gc
@@ -16,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ym4 import algebra, data, morawetz, wave
-from ym4.gaugefield import ConnectionField, FieldError, InitialDataSet, curvature, energy_density
+from ym4.gaugefield import ConnectionField, FieldError, InitialDataSet, curvature
 from ym4.grid import Grid4
 from ym4.wave import WaveParams, WaveState
 
-from oracles import radius_about
+from oracles import NullFrame, null_components, null_frame, radius_about
 
 SU2 = algebra.su2()
 
@@ -57,7 +58,7 @@ def rotate_frame(frame, theta):
     tangent = frame.tangent.copy()
     tangent[0] = c * frame.tangent[0] + s * frame.tangent[1]
     tangent[1] = -s * frame.tangent[0] + c * frame.tangent[1]
-    return morawetz.NullFrame(frame.nhat, tangent, frame.mask)
+    return NullFrame(frame.nhat, tangent, frame.mask)
 
 
 def plain_density(e, f):
@@ -69,7 +70,7 @@ def plain_density(e, f):
 @given(site=sites(), h=st.floats(0.05, 1.0))
 def test_null_frame_orthonormal_and_mask(site, h):
     x = site[0]
-    fr = morawetz._frame(x, h)
+    fr = null_frame(x, h)
     r = np.sqrt(np.sum(x**2, axis=0))
     assert np.array_equal(fr.mask, r >= 2 * h - 1e-12)
     # nhat is the unit radial direction; the tangent triad is orthonormal
@@ -87,8 +88,8 @@ def test_null_decompose_reconstructs_energy_density(site, h):
     # |alpha|^2/2 + |alphabar|^2/2 + |varrho|^2 + |sigma|^2 equals the
     # temporal-temporal energy density on unmasked sites
     x, e, f = site
-    fr = morawetz._frame(x, h)
-    alpha, alphabar, varrho, sigma = morawetz._null_components(e, f, fr)
+    fr = null_frame(x, h)
+    alpha, alphabar, varrho, sigma = null_components(e, f, fr)
     sq = morawetz._sq
     got = 0.5 * sq(alpha) + 0.5 * sq(alphabar) + np.sum(varrho**2, axis=-1) + sq(sigma)
     dens = plain_density(e, f)
@@ -100,14 +101,37 @@ def test_null_decompose_reconstructs_energy_density(site, h):
 @given(site=sites(), h=st.floats(0.05, 1.0), theta=st.floats(-np.pi, np.pi))
 def test_null_norms_frame_rotation_invariant(site, h, theta):
     x, e, f = site
-    fr = morawetz._frame(x, h)
-    n1 = morawetz._null_components(e, f, fr)
-    n2 = morawetz._null_components(e, f, rotate_frame(fr, theta))
+    fr = null_frame(x, h)
+    n1 = null_components(e, f, fr)
+    n2 = null_components(e, f, rotate_frame(fr, theta))
     scale = np.max(plain_density(e, f))
     for v1, v2 in zip(n1[:2] + n1[3:], n2[:2] + n2[3:]):  # alpha, alphabar, sigma
         assert np.max(np.abs(morawetz._sq(v1) - morawetz._sq(v2))) <= 1e-12 * scale
     # varrho reads only nhat, which the rotation leaves alone
     assert np.array_equal(n1[2], n2[2])
+
+
+@SETTINGS
+@given(site=sites(), h=st.floats(0.05, 1.0), margin=st.floats(0.5, 4.0))
+def test_null_form_weighted_integrand_is_the_momentum_p0(site, h, margin):
+    # (1/2) w+ (|alpha|^2 + |varrho|^2 + |sigma|^2)
+    #   + (1/2) w- (|alphabar|^2 + |varrho|^2 + |sigma|^2) = T_{0 beta} X^beta
+    # with w+- = ((tau +- r) / (tau -+ r))^{1/2} and tau = t + eps past every site
+    x, e, f = site
+    r = np.sqrt(np.sum(x**2, axis=0))
+    tau = (1.0 + margin) * np.max(r)
+    fr = null_frame(x, h)
+    alpha, alphabar, varrho, sigma = null_components(e, f, fr)
+    sq = morawetz._sq
+    wp = np.sqrt((tau + r) / (tau - r))
+    wm = 1.0 / wp
+    good = np.sum(varrho**2, axis=-1) + sq(sigma)
+    null_form = 0.5 * wp * (sq(alpha) + good) + 0.5 * wm * (sq(alphabar) + good)
+    rho = np.sqrt(tau**2 - r**2)
+    X = np.concatenate([(tau / rho)[None], x / rho])
+    p0 = np.einsum("b...,b...->...", morawetz._stress(e, f)[0], X)
+    m = fr.mask
+    assert np.max(np.abs(null_form - p0)[m], initial=0.0) <= 1e-12 * np.max(plain_density(e, f))
 
 
 @SETTINGS
@@ -145,14 +169,6 @@ def iota_xf(w, eps, vertex):
     t, x = w.t - vertex[0], offsets(g, vertex[1:])
     _, rho, mask = morawetz._cone_geometry(t, x, g.h, eps)
     return morawetz._iota(w.adot, curvature(w.a).f, x, t + eps, rho) * mask[..., None]
-
-
-def null_decompose(w, center):
-    """(alpha, alphabar, varrho, sigma) on the whole grid, zeroed where the
-    frame is masked, and the mask."""
-    frame = morawetz._frame(offsets(w.a.grid, center), w.a.grid.h)
-    parts = morawetz._null_components(w.adot, curvature(w.a).f, frame)
-    return tuple(p * frame.mask[..., None] for p in parts), frame.mask
 
 
 def test_energy_momentum_divergence_refinement():
@@ -263,26 +279,21 @@ def _reference_report(snaps, vertex, eps):
         dens = np.einsum("b...c,b...c->...", iota, iota)
         return g.integrate(np.where(mask & (rc <= abs(t)), 2.0 * dens / rho, 0.0))
 
-    def flux(w):
-        t = w.t - t0
+    def momentum(w, t):
         rho = np.sqrt(np.maximum((t + eps) ** 2 - r**2, 1e-300))
         X = np.concatenate([((t + eps) / rho)[None], x / rho])
-        P = np.einsum("ab...,b...->a...", energy_momentum(w), X)
+        return np.einsum("ab...,b...->a...", energy_momentum(w), X)
+
+    def flux(w):
+        t = w.t - t0
+        P = momentum(w, t)
         nhat = x / np.where(r > 0.0, r, 1.0)
         dens = P[0] + np.einsum("j...,j...->...", nhat, P[1:])
         return g.integrate(np.where(np.abs(r - t) <= 0.5 * g.h, dens, 0.0)) / g.h
 
     def weighted(w):
         t = w.t - t0
-        inside = r <= t
-        wp = np.sqrt(np.where(inside, (t + eps + r) / np.maximum(t + eps - r, 1e-300), 1.0))
-        wm = 1.0 / wp
-        (alpha, alphabar, varrho, sigma), mask = null_decompose(w, x0)
-        sq = lambda v: np.einsum("a...c,a...c->...", v, v)  # noqa: E731
-        good = np.einsum("...c,...c->...", varrho, varrho) + sq(sigma)
-        dens = 0.5 * wp * (sq(alpha) + good) + 0.5 * wm * (sq(alphabar) + good)
-        dens = np.where(mask, dens, 0.5 * (wp + wm) * energy_density(w.curvature()))
-        return g.integrate(np.where(inside, dens, 0.0))
+        return g.integrate(np.where(r <= t, momentum(w, t)[0], 0.0))
 
     times = [w.t for w in snaps]
     diss = float(np.trapezoid([dissipation(w) for w in snaps], times))
@@ -437,28 +448,22 @@ def _full_grid_report(snaps, vertex, eps):
         iota = morawetz._iota(w.adot[:, inside], f[:, inside], x[:, inside], t + eps, rho)
         return g.integrate(2.0 * sq(iota) / rho)
 
+    def momentum(w, f, t, sel):
+        rs = r[sel]
+        T = morawetz._stress(w.adot[:, sel], f[:, sel])
+        rho = np.sqrt(np.maximum((t + eps) ** 2 - rs**2, 1e-300))
+        X = np.concatenate([((t + eps) / rho)[None], x[:, sel] / rho])
+        return np.einsum("ab...,b...->a...", T, X)
+
     def flux(w, f, t):
         shell = np.abs(r - t) <= 0.5 * g.h
+        P = momentum(w, f, t, shell)
         rs, xs = r[shell], x[:, shell]
-        T = morawetz._stress(w.adot[:, shell], f[:, shell])
-        rho = np.sqrt(np.maximum((t + eps) ** 2 - rs**2, 1e-300))
-        X = np.concatenate([((t + eps) / rho)[None], xs / rho])
-        P = np.einsum("ab...,b...->a...", T, X)
         nhat = xs / np.where(rs > 0.0, rs, 1.0)
         return g.integrate(P[0] + np.einsum("j...,j...->...", nhat, P[1:])) / g.h
 
     def weighted(w, f, t):
-        inside = r <= t
-        rb = r[inside]
-        e, fb = w.adot[:, inside], f[:, inside]
-        frame = morawetz._frame(x[:, inside], g.h)
-        alpha, alphabar, varrho, sigma = morawetz._null_components(e, fb, frame)
-        wp = np.sqrt((t + eps + rb) / np.maximum(t + eps - rb, 1e-300))
-        wm = 1.0 / wp
-        good = np.einsum("...c,...c->...", varrho, varrho) + sq(sigma)
-        dens = 0.5 * wp * (sq(alpha) + good) + 0.5 * wm * (sq(alphabar) + good)
-        plain = 0.5 * (wp + wm) * (sq(fb) + sq(e))
-        return g.integrate(np.where(frame.mask, dens, plain))
+        return g.integrate(momentum(w, f, t, r <= t)[0])
 
     diss, bdry, we = [], [], []
     for i, w in enumerate(snaps):
