@@ -2,14 +2,16 @@
 
 The flow is ds a_i = D^l f_{li} (the "local" form, whose s-component of the
 evolved connection is zero), optionally augmented with the parabolic gauge
-term D_i(div a).  Explicit midpoint-RK2 stepping with the stability budget
-ds <= 0.2 h^2.  Working set: a step holds the connection, its midpoint stage
-and the curvature and tension being built (each stage is made in its
-right-hand side's buffer); run_heat adds one curvature and the diagnostics,
-and its peak allocation does not grow with the number of steps
-(tests/test_working_set.py bounds it in connection-sized arrays).  tangent
-co-evolves a field with the connection by the coupled midpoint rule, whose
-update of the connection is this step operation for operation.
+term D_i(div a).  _step, explicit midpoint RK2 within the stability budget
+ds <= 0.2 h^2, is the one heat-flow step: each stage builds one curvature
+for the tension.  coevolve marches a field V along the flow as a rider on
+that step, each stage's curvature shared with V's right-hand side (tangent
+supplies them), so its background is run_heat's state to the byte.
+Working set: a step holds the connection, its midpoint stage and the
+curvature and tension being built (a rider adds V and its stage); run_heat
+adds one curvature and the diagnostics, and its peak allocation does not
+grow with the number of steps (tests/test_working_set.py bounds it in
+connection-sized arrays).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from . import algebra, gaugefield
 from .errors import BlowUpError
 from .gaugefield import (
     ConnectionField,
+    CurvatureField,
     FieldError,
     GaugeTransformField,
     curvature,
@@ -79,8 +82,8 @@ class HeatTrajectory:
         return self.dissipation_series[-1] if self.dissipation_series else 0.0
 
 
-def _flow_rhs(a: ConnectionField, de_turck: bool) -> np.ndarray:
-    rhs = curvature_tension(a)
+def _flow_rhs(a: ConnectionField, F: CurvatureField, de_turck: bool) -> np.ndarray:
+    rhs = curvature_tension(a, F)
     if de_turck:
         div_a = a.grid.divergence(a.a)
         for i in range(1, 5):
@@ -88,12 +91,35 @@ def _flow_rhs(a: ConnectionField, de_turck: bool) -> np.ndarray:
     return rhs
 
 
-def _step(a: ConnectionField, ds: float, de_turck: bool) -> ConnectionField:
-    mid = ConnectionField(a.grid, a.spec, axpy(0.5 * ds, _flow_rhs(a, de_turck), a.a))
-    new = axpy(ds, _flow_rhs(mid, de_turck), a.a)
-    if not np.all(np.isfinite(new)):
+def _step(a: ConnectionField, ds: float, de_turck: bool = False, rider=None):
+    """One explicit midpoint step of the heat flow.  Each stage builds one
+    curvature, frees it before the next stage builds its own, and hands it
+    to the tension.  With rider = (V, rhs), the same curvature also goes to
+    rhs(V, a, F), V takes the coupled midpoint update of ds V = rhs(V, a, F)
+    and (a, V) is returned."""
+    F = curvature(a)
+    mid = ConnectionField(a.grid, a.spec, axpy(0.5 * ds, _flow_rhs(a, F, de_turck), a.a))
+    if rider is not None:
+        V, rhs = rider
+        V_mid = axpy(0.5 * ds, rhs(V, a, F), V)
+    del F
+    F = curvature(mid)
+    new = axpy(ds, _flow_rhs(mid, F, de_turck), a.a)
+    if rider is not None:
+        V = axpy(ds, rhs(V_mid, mid, F), V)
+    if not (np.all(np.isfinite(new)) and (rider is None or np.all(np.isfinite(V)))):
         raise BlowUpError("heat step produced non-finite values", last_state=a)
-    return ConnectionField(a.grid, a.spec, new)
+    new = ConnectionField(a.grid, a.spec, new)
+    return new if rider is None else (new, V)
+
+
+def coevolve(a: ConnectionField, V: np.ndarray, p: HeatParams, rhs):
+    """Yield (a_s, V_s) at every step boundary, s = 0 included, of the heat
+    flow with V riding each step (see _step)."""
+    p.check_stability(a.grid.h)
+    states = march((a, V), lambda av: _step(av[0], p.ds, rider=(av[1], rhs)), p.ds, p.s_max)
+    for _, state, _ in states:
+        yield state
 
 
 def run_heat(

@@ -13,11 +13,11 @@ produced from the electric parabolic flow
 with a0 = Integral_0^{s_max} D^l E_l(s) ds accumulated by the trapezoid
 rule along the co-evolution (in the flat case this reproduces the Helmholtz
 potential -Lap^{-1} div e, so b is the divergence-free part of e).
-The pair (a, V) takes one explicit midpoint step of the coupled system per
-step, each stage building one curvature that the heat tension and the
-linear rhs share.  Working set: a step holds a, V, their midpoint stages
-and one curvature; the electric pass is freed before the tangent pass, and
-linearized_rhs holds up to four of its six D_j B_k - D_k B_j pairs at once
+This module supplies the two right-hand sides, their closed forms on a
+zero background and the decomposition; heatflow.coevolve marches each
+field along the heat flow on heatflow's own step.  Working set: the
+electric pass is freed before the tangent pass, and linearized_rhs holds
+up to four of its six D_j B_k - D_k B_j pairs at once
 (tests/test_working_set.py bounds div_curl_decompose's peak allocation in
 connection-sized arrays).
 """
@@ -28,18 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from .errors import BlowUpError
 from .gaugefield import (
     ConnectionField,
     CurvatureField,
     covariant_derivative,
     covariant_divergence,
-    curvature,
-    curvature_tension,
     pair_component,
 )
-from .heatflow import HeatParams
-from .stepping import axpy, march, step_count
+from .heatflow import HeatParams, coevolve
+from .stepping import step_count
 
 
 @dataclass
@@ -98,35 +95,6 @@ def electric_rhs(E: np.ndarray, a_s: ConnectionField, F_s: CurvatureField) -> np
                     a_s.spec, pair_component(F_s.f, j, l), E[l - 1]
                 )
     return out
-
-
-def _coevolve(a: ConnectionField, V: np.ndarray, p: HeatParams, rhs):
-    """March the pair (a, V) by the explicit midpoint rule of the coupled
-    system ds a = tension(a), ds V = rhs(V, a, F(a)).
-
-    Yields (a_s, V_s) at every step boundary including s = 0.  Each stage
-    builds one curvature, shared by the tension and rhs, so the update of a
-    is heatflow's RK2 step operation for operation and a_s is run_heat's
-    state to the byte.  The same step serves every background, the zero
-    connection included.
-    """
-    p.check_stability(a.grid.h)
-
-    def step(pair):
-        a, V = pair
-        F = curvature(a)
-        mid = ConnectionField(a.grid, a.spec, axpy(0.5 * p.ds, curvature_tension(a, F), a.a))
-        V_mid = axpy(0.5 * p.ds, rhs(V, a, F), V)
-        del F
-        F = curvature(mid)
-        new = axpy(p.ds, curvature_tension(mid, F), a.a)
-        V = axpy(p.ds, rhs(V_mid, mid, F), V)
-        if not (np.all(np.isfinite(new)) and np.all(np.isfinite(V))):
-            raise BlowUpError("co-evolved flow produced non-finite values")
-        return ConnectionField(a.grid, a.spec, new), V
-
-    for _, pair, _ in march((a, V), step, p.ds, p.s_max):
-        yield pair
 
 
 def _flat_mode_factors(g, p: HeatParams):
@@ -190,7 +158,7 @@ def tangent_residual(
         return 0.0
     if fast_flat and not a.a.any() and a.grid.boundary == "periodic":
         return g.l2norm(_flat_tangent_terminal(b, g, p)) / b_norm
-    for _, V in _coevolve(a, b, p, linearized_rhs):
+    for _, V in coevolve(a, b, p, linearized_rhs):
         pass
     return g.l2norm(V) / b_norm
 
@@ -237,7 +205,7 @@ def _electric_pass(a: ConnectionField, e: np.ndarray, p: HeatParams, fast_flat: 
         return a0, g.l2norm(np.stack([np.real(g.ifft(g_n_e * eh)) for eh in ehat]))
     a0 = np.zeros(g.shape + (a.spec.dim,))
     prev_div = None
-    for a_s, E in _coevolve(a, e, p, electric_rhs):
+    for a_s, E in coevolve(a, e, p, electric_rhs):
         div_E = covariant_divergence(a_s, E)
         if prev_div is not None:
             a0 += 0.5 * p.ds * (prev_div + div_E)

@@ -35,7 +35,7 @@ from .gaugefield import (
     energy_density,
     gauss_residual,
 )
-from .stepping import axpy, march, step_count
+from .stepping import axpy, march
 
 MAX_CFL = 0.4
 BLOWUP_DENSITY_FACTOR = 1e6
@@ -90,13 +90,10 @@ def _energy_and_peak(w: WaveState) -> tuple:
 
 
 def kept_times(p: WaveParams) -> Iterator[float]:
-    """The times of the states run_wave keeps, summed step by step as its
-    loop sums them: every snapshot_stride-th step and the last."""
-    n_steps, t = step_count(p.dt, p.t_end), 0.0
-    for k in range(n_steps + 1):
-        if k > 0:
-            t += p.dt
-        if k % p.snapshot_stride == 0 or k == n_steps:
+    """The times of the states run_wave keeps, from the march its loop runs:
+    every snapshot_stride-th step and the last."""
+    for k, t, last in march(0.0, lambda t: t + p.dt, p.dt, p.t_end):
+        if k % p.snapshot_stride == 0 or last:
             yield t
 
 

@@ -1,8 +1,10 @@
 """Unit tests for the linearized flow and the div-curl decomposition."""
 
 import numpy as np
+import pytest
 
 from ym4 import algebra, data, gaugefield, heatflow, tangent
+from ym4.errors import BlowUpError
 from ym4.gaugefield import ConnectionField, curvature, curvature_tension
 from ym4.grid import Grid4
 from ym4.heatflow import HeatParams, run_heat
@@ -145,7 +147,7 @@ def test_a_coevolved_step_builds_two_curvatures(monkeypatch):
         calls.append(None)
         return real(a)
 
-    for module in (gaugefield, heatflow, tangent):
+    for module in (gaugefield, heatflow):
         monkeypatch.setattr(module, "curvature", counting)
     ds = 0.05 * g.h**2
     counts = []
@@ -156,15 +158,27 @@ def test_a_coevolved_step_builds_two_curvatures(monkeypatch):
     assert counts[1] - counts[0] == 2, counts
 
 
-def test_coevolved_background_is_the_heat_flow_to_the_byte():
-    g = small_grid()
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_coevolved_background_is_the_heat_flow_to_the_byte(boundary):
+    g = Grid4(8, 0.5, boundary=boundary)
     a = data.random_connection(g, SU2, seed=2, amplitude=0.3, k_band=1)
     b = data.random_connection(g, SU2, seed=3, amplitude=1.0, k_band=1).a
     ds = 0.05 * g.h**2
     p = HeatParams(ds=ds, s_max=3 * ds)
-    for a_s, _ in tangent._coevolve(a, b, p, tangent.linearized_rhs):
+    for a_s, _ in heatflow.coevolve(a, b, p, tangent.linearized_rhs):
         pass
     assert a_s.a.tobytes() == run_heat(a, p).terminal.a.tobytes()
+
+
+def test_a_coevolved_blow_up_keeps_the_last_finite_background():
+    g = small_grid()
+    a = data.random_connection(g, SU2, seed=2, amplitude=0.3, k_band=1)
+    b = data.random_connection(g, SU2, seed=3, amplitude=1.0, k_band=1).a
+    b[1, 2, 3, 4, 5, 0] = np.inf
+    ds = 0.05 * g.h**2
+    with np.errstate(invalid="ignore"), pytest.raises(BlowUpError) as err:
+        tangent.tangent_residual(b, a, HeatParams(ds=ds, s_max=2 * ds))
+    assert err.value.last_state is a
 
 
 def test_div_curl_converges_at_second_order():
